@@ -1,21 +1,31 @@
-//! Fixed-bucket latency histogram for the `Stats` endpoint.
+//! Log-linear latency histogram for the `Stats` endpoint.
 //!
 //! Quantiles without dependencies and without unbounded memory: one
-//! atomic counter per power-of-two microsecond bucket. Recording is a
-//! single relaxed `fetch_add` (safe from every worker concurrently);
-//! reading walks 40 counters. The price is resolution — a reported
-//! quantile is the *upper edge* of the bucket the target sample fell
-//! into, so values are conservative (never under-reported) and at most
-//! 2× the true latency.
+//! atomic counter per bucket. Each power-of-two octave of microseconds
+//! is split into 16 equal sub-buckets (below 32 µs every microsecond
+//! has its own bucket). Recording is a single relaxed `fetch_add` (safe
+//! from every worker concurrently); reading walks the counters. A
+//! reported quantile is the *upper edge* of the bucket the target
+//! sample fell into, so values are conservative (never under-reported)
+//! and, for samples of 16 µs and more, at most 6.25 % (1/16) above the
+//! true latency.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Bucket count: `2^39` µs ≈ 6.4 days in the top finite bucket, which
-/// comfortably covers any request this service will ever answer.
-const BUCKETS: usize = 40;
+/// log2 of the sub-buckets per octave.
+const SUB_BITS: u32 = 4;
 
-/// A concurrent power-of-two-bucket histogram of durations.
+/// Samples of `2^TOP_BIT` µs and more (2^40 µs ≈ 12.7 days) share the
+/// top bucket, which comfortably covers any request this service will
+/// ever answer.
+const TOP_BIT: u32 = 40;
+
+/// Bucket count: 32 one-microsecond buckets, then 16 per octave from
+/// `2^5` up to `2^TOP_BIT` µs.
+const BUCKETS: usize = (TOP_BIT - SUB_BITS + 1) as usize * (1 << SUB_BITS);
+
+/// A concurrent log-linear-bucket histogram of durations.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
@@ -29,18 +39,20 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Bucket `i` holds samples in `[2^(i-1), 2^i)` µs (bucket 0 holds 0–1 µs).
+/// A sample `us` with `shift = max(0, ⌊log2 us⌋ - 4)` goes to bucket
+/// `16·shift + (us >> shift)`: below 32 µs that is `us` itself, above
+/// it the 16 buckets of an octave are each `2^shift` µs wide.
 fn bucket_of(us: u64) -> usize {
-    if us == 0 {
-        0
-    } else {
-        ((64 - us.leading_zeros()) as usize).min(BUCKETS - 1)
-    }
+    let us = us.min((1 << TOP_BIT) - 1);
+    let shift = us.checked_ilog2().unwrap_or(0).saturating_sub(SUB_BITS);
+    ((shift as usize) << SUB_BITS) + (us >> shift) as usize
 }
 
-/// Upper edge of bucket `i`, in microseconds.
+/// Exclusive upper edge of bucket `i`, in microseconds.
 fn upper_edge(i: usize) -> u64 {
-    1u64 << i
+    let shift = (i >> SUB_BITS).saturating_sub(1);
+    let mantissa = (i - (shift << SUB_BITS)) as u64;
+    (mantissa + 1) << shift
 }
 
 impl LatencyHistogram {
@@ -102,15 +114,52 @@ mod tests {
     }
 
     #[test]
-    fn buckets_are_powers_of_two() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
+    fn buckets_are_log_linear() {
+        // One bucket per microsecond below 32 µs.
+        for us in 0..32 {
+            assert_eq!(bucket_of(us), us as usize);
+            assert_eq!(upper_edge(us as usize), us + 1);
+        }
+        // Then 16 buckets per octave, each 2^shift µs wide.
+        assert_eq!(bucket_of(32), 32);
+        assert_eq!(bucket_of(33), 32);
+        assert_eq!(bucket_of(34), 33);
+        assert_eq!(bucket_of(63), 47);
+        assert_eq!(bucket_of(64), 48);
+        assert_eq!(upper_edge(32), 34);
+        assert_eq!(upper_edge(48), 68);
+        assert_eq!(bucket_of(1000), 16 * 5 + 31); // [992, 1024)
+        assert_eq!(upper_edge(bucket_of(1000)), 1024);
         assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        assert_eq!(upper_edge(BUCKETS - 1), 1 << TOP_BIT);
+    }
+
+    #[test]
+    fn buckets_tile_the_range_with_bounded_relative_width() {
+        // Consecutive buckets share an edge, and every sample of 16 µs
+        // or more lies at most 1/16 of itself below its upper edge.
+        for i in 1..BUCKETS {
+            assert_eq!(
+                bucket_of(upper_edge(i - 1)),
+                i,
+                "gap after bucket {}",
+                i - 1
+            );
+        }
+        let mut us = 16u64;
+        while us < 1 << TOP_BIT {
+            for v in [us, us + 1, us * 17 / 16, us * 2 - 1] {
+                let edge = upper_edge(bucket_of(v));
+                assert!(edge > v, "{} µs at or above its edge {}", v, edge);
+                assert!(
+                    (edge - v) * 16 <= v,
+                    "{} µs reported as {} µs: over 6.25 %",
+                    v,
+                    edge
+                );
+            }
+            us *= 2;
+        }
     }
 
     #[test]
@@ -122,9 +171,9 @@ mod tests {
         assert_eq!(h.count(), 10);
         let p50 = h.quantile(0.5).unwrap();
         let p99 = h.quantile(0.99).unwrap();
-        // 1 ms lands in (512, 1024] µs; 100 ms in (65.5, 131.1] ms.
-        assert!(p50 >= Duration::from_millis(1) && p50 <= Duration::from_millis(2));
-        assert!(p99 >= Duration::from_millis(100) && p99 <= Duration::from_millis(200));
+        // 1 ms lands in [992, 1024) µs; 100 ms in [98.304, 102.4) ms.
+        assert_eq!(p50, Duration::from_micros(1024));
+        assert_eq!(p99, Duration::from_micros(102_400));
         assert!(h.quantile(0.0).unwrap() <= p50);
         assert_eq!(h.quantile(1.0).unwrap(), p99);
     }

@@ -12,12 +12,14 @@
 //! * [`proto`] — the newline-delimited JSON wire protocol
 //!   (`load_grammar`, `translate`, `translate_batch`, `stats`,
 //!   `shutdown`) with typed error kinds that extend the evaluator's
-//!   [`FailureKind`](linguist_eval::batch::FailureKind) taxonomy.
+//!   [`FailureKind`](linguist_eval::batch::FailureKind) taxonomy, and
+//!   the one frame writer, stream type and connection loop that the
+//!   daemon, the router and the client share.
 //! * [`pool`] — the admission-controlled worker pool: a bounded queue
 //!   that rejects with `overloaded` instead of blocking, panic
 //!   isolation per job, queue-wait-aware deadline budgeting.
-//! * [`hist`] — a fixed-bucket latency histogram (p50/p99 without
-//!   dependencies or unbounded memory).
+//! * [`hist`] — a log-linear latency histogram (p50/p99 within 6.25 %,
+//!   without dependencies or unbounded memory).
 //! * [`stats`] — the `Stats` endpoint's aggregation: request
 //!   counters, the latency histogram, and every profiled evaluation's
 //!   [`EvalMetrics`](linguist_eval::metrics::EvalMetrics) merged into

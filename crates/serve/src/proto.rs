@@ -27,12 +27,22 @@
 //! buffering — the reply is a typed `frame_too_large`) and an idle
 //! deadline (a slow-loris client that stalls mid-line gets a typed
 //! `idle_timeout` and its connection back).
+//!
+//! Frames go out through [`write_frame`]: one frame is one `write_all`
+//! call, and every TCP socket is a [`Stream`] with `TCP_NODELAY` set.
+//! A frame split over several small writes meets Nagle's algorithm,
+//! which holds the second segment until the peer's delayed ACK, about
+//! 40 ms on Linux, so each round trip would cost that much.
 
 use linguist_eval::batch::FailureKind;
 use linguist_eval::machine::EvalError;
 use linguist_frontend::translate::TranslateError;
 use linguist_support::json::Json;
-use std::io::Read;
+use std::fmt::Display;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 use crate::store::LoadError;
 
@@ -345,9 +355,13 @@ pub enum FrameError {
 /// `TimedOut` read is reported as [`FrameError::IdleTimeout`] rather
 /// than retried forever, and a line that outgrows `max_len` is cut off
 /// with [`FrameError::TooLarge`] instead of buffering without bound.
+/// Each buffered byte is searched for the newline once, so a frame
+/// costs time linear in its length however it is split into reads.
 pub struct FrameReader<R> {
     inner: R,
     buf: Vec<u8>,
+    /// `buf[..scanned]` holds no newline.
+    scanned: usize,
     max_len: usize,
 }
 
@@ -358,6 +372,7 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             inner,
             buf: Vec::new(),
+            scanned: 0,
             max_len: max_len.max(1),
         }
     }
@@ -376,15 +391,17 @@ impl<R: Read> FrameReader<R> {
     pub fn read_frame(&mut self) -> Result<String, FrameError> {
         let mut chunk = [0u8; 4096];
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(pos + 1);
+            if let Some(pos) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let rest = self.buf.split_off(self.scanned + pos + 1);
                 let mut frame = std::mem::replace(&mut self.buf, rest);
+                self.scanned = 0;
                 frame.pop(); // the newline
                 if frame.last() == Some(&b'\r') {
                     frame.pop();
                 }
                 return String::from_utf8(frame).map_err(|_| FrameError::BadUtf8);
             }
+            self.scanned = self.buf.len();
             if self.buf.len() > self.max_len {
                 return Err(FrameError::TooLarge {
                     limit: self.max_len,
@@ -410,6 +427,155 @@ impl<R: Read> FrameReader<R> {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(FrameError::Io(e)),
             }
+        }
+    }
+}
+
+/// Send one frame: `frame`'s text and its `\n`, serialized into one
+/// buffer and handed to the socket in a single `write_all`, then
+/// flushed. Every request and reply of the tier goes out this way.
+///
+/// # Errors
+///
+/// Propagates the write failure.
+pub(crate) fn write_frame(w: &mut impl Write, frame: &dyn Display) -> std::io::Result<()> {
+    w.write_all(format!("{}\n", frame).as_bytes())?;
+    w.flush()
+}
+
+/// One connection of the tier: a Unix-domain or a TCP socket. The
+/// constructors are the only way in, so every TCP stream has
+/// `TCP_NODELAY` set.
+pub(crate) struct Stream(Socket);
+
+enum Socket {
+    Unix(UnixStream),
+    Tcp(TcpStream),
+}
+
+/// Run `$body` with `$s` bound to the socket that `$socket` refers to.
+macro_rules! on_socket {
+    ($socket:expr, $s:ident => $body:expr) => {
+        match $socket {
+            Socket::Unix($s) => $body,
+            Socket::Tcp($s) => $body,
+        }
+    };
+}
+
+impl Stream {
+    /// Wrap a Unix-domain socket.
+    pub(crate) fn unix(s: UnixStream) -> Stream {
+        Stream(Socket::Unix(s))
+    }
+
+    /// Wrap a TCP socket with Nagle's algorithm turned off, so the last
+    /// segment of a frame never waits for the peer's delayed ACK. This
+    /// is the only place the tier sets `TCP_NODELAY`.
+    pub(crate) fn tcp(s: TcpStream) -> std::io::Result<Stream> {
+        s.set_nodelay(true)?;
+        Ok(Stream(Socket::Tcp(s)))
+    }
+
+    /// A second handle on the same socket (options are shared).
+    pub(crate) fn try_clone(&self) -> std::io::Result<Stream> {
+        Ok(Stream(match &self.0 {
+            Socket::Unix(s) => Socket::Unix(s.try_clone()?),
+            Socket::Tcp(s) => Socket::Tcp(s.try_clone()?),
+        }))
+    }
+
+    /// Bound every read (`None` blocks forever).
+    pub(crate) fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        on_socket!(&self.0, s => s.set_read_timeout(timeout))
+    }
+
+    /// Bound every write (`None` blocks forever).
+    pub(crate) fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        on_socket!(&self.0, s => s.set_write_timeout(timeout))
+    }
+
+    /// Shut both directions down.
+    pub(crate) fn shutdown(&self) -> std::io::Result<()> {
+        on_socket!(&self.0, s => s.shutdown(Shutdown::Both))
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        on_socket!(&mut self.0, s => s.read(buf))
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        on_socket!(&mut self.0, s => s.write(buf))
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        on_socket!(&mut self.0, s => s.flush())
+    }
+}
+
+/// One client session, for the daemon and the router alike: request
+/// frames in, one reply frame out per request, in order.
+///
+/// `dispatch` answers one request line and says whether to stop after
+/// replying; `record_error` counts each frame-level error by kind. The
+/// stream carries its idle read deadline as an OS read timeout, so a
+/// single timed-out read *is* the idle deadline firing. A stall
+/// mid-request earns a typed `idle_timeout` reply before the close; a
+/// connection that is merely idle between requests is closed silently.
+/// Either way the thread is freed, so a slow-loris client cannot pin
+/// it.
+///
+/// Returns `true` when the session ended because `dispatch` asked to
+/// stop and its reply went out.
+pub(crate) fn serve_frames<S: Read + Write>(
+    stream: S,
+    max_frame_len: usize,
+    record_error: impl Fn(&str),
+    mut dispatch: impl FnMut(&str) -> (Json, bool),
+) -> bool {
+    let mut frames = FrameReader::new(stream, max_frame_len);
+    loop {
+        let (reply, stop) = match frames.read_frame() {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => dispatch(&line),
+            Err(e) => {
+                // Only a bad-UTF-8 frame leaves the frame boundary
+                // intact; after the others no resync is possible, so
+                // reply typed and close.
+                let (kind, message, close) = match e {
+                    FrameError::TooLarge { limit } => (
+                        kind::FRAME_TOO_LARGE,
+                        format!("request line exceeds the {}-byte frame bound", limit),
+                        true,
+                    ),
+                    FrameError::IdleTimeout { mid_frame: true } => (
+                        kind::IDLE_TIMEOUT,
+                        "connection stalled mid-request past the idle deadline".to_string(),
+                        true,
+                    ),
+                    FrameError::BadUtf8 => (
+                        kind::BAD_REQUEST,
+                        "request line is not UTF-8".to_string(),
+                        false,
+                    ),
+                    _ => return false, // client hung up, or idle between requests
+                };
+                record_error(kind);
+                let sent = write_frame(frames.get_mut(), &error_reply(kind, &message));
+                if close || sent.is_err() {
+                    return false;
+                }
+                continue;
+            }
+        };
+        if write_frame(frames.get_mut(), &reply).is_err() {
+            return false;
+        }
+        if stop {
+            return true;
         }
     }
 }
@@ -581,6 +747,111 @@ mod tests {
         let mut r = FrameReader::new(&data[..], 1024);
         assert_eq!(r.read_frame().unwrap(), "{\"op\":\"ping\"}");
         assert!(matches!(r.read_frame().unwrap_err(), FrameError::Eof));
+    }
+
+    /// Hands out `data` at most `step` bytes per `read`.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    fn chunked(data: &[u8], step: usize) -> FrameReader<Chunked<'_>> {
+        FrameReader::new(Chunked { data, step }, 1024)
+    }
+
+    #[test]
+    fn frame_reader_assembles_one_byte_reads() {
+        let mut r = chunked(b"{\"op\":\"ping\"}\n{\"op\":\"stats\"}\n", 1);
+        assert_eq!(r.read_frame().unwrap(), "{\"op\":\"ping\"}");
+        assert_eq!(r.read_frame().unwrap(), "{\"op\":\"stats\"}");
+        assert!(matches!(r.read_frame().unwrap_err(), FrameError::Eof));
+    }
+
+    #[test]
+    fn frame_reader_finds_a_newline_on_a_chunk_boundary() {
+        // The first read ends right after the newline, the second right
+        // before the next one.
+        let mut r = chunked(b"abc\ndefg\nh\n", 4);
+        assert_eq!(r.read_frame().unwrap(), "abc");
+        assert_eq!(r.read_frame().unwrap(), "defg");
+        assert_eq!(r.read_frame().unwrap(), "h");
+    }
+
+    #[test]
+    fn frame_reader_strips_a_carriage_return_split_from_its_newline() {
+        let mut r = chunked(b"abc\r\nxy\r\n", 4);
+        assert_eq!(r.read_frame().unwrap(), "abc");
+        assert_eq!(r.read_frame().unwrap(), "xy");
+    }
+
+    #[test]
+    fn frame_reader_returns_two_frames_from_one_read() {
+        let mut r = chunked(b"one\ntwo\n", 4096);
+        assert_eq!(r.read_frame().unwrap(), "one");
+        assert_eq!(r.read_frame().unwrap(), "two");
+        assert!(matches!(r.read_frame().unwrap_err(), FrameError::Eof));
+    }
+
+    #[test]
+    fn frame_reader_reads_a_maximal_frame_in_linear_time() {
+        let mut data = vec![b'a'; DEFAULT_MAX_FRAME_LEN];
+        data.push(b'\n');
+        let mut r = FrameReader::new(
+            Chunked {
+                data: &data,
+                step: 4096,
+            },
+            DEFAULT_MAX_FRAME_LEN,
+        );
+        let started = std::time::Instant::now();
+        let frame = r.read_frame().unwrap();
+        let took = started.elapsed();
+        assert_eq!(frame.len(), DEFAULT_MAX_FRAME_LEN);
+        // Rescanning the whole buffer after every read takes seconds here.
+        assert!(took < Duration::from_secs(1), "4 MiB frame took {:?}", took);
+    }
+
+    /// Counts the `write` calls that reach it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_sends_a_reply_in_one_write() {
+        let reply = ok_reply(vec![
+            ("grammar".to_string(), Json::str("00ff")),
+            (
+                "output".to_string(),
+                Json::Arr(vec![Json::int(1), Json::int(2)]),
+            ),
+            ("wall_ms".to_string(), Json::int(3)),
+        ]);
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &reply).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, format!("{}\n", reply).into_bytes());
     }
 
     #[test]

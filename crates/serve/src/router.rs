@@ -47,7 +47,6 @@
 //! routers.
 
 use linguist_support::json::Json;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -58,7 +57,8 @@ use std::time::{Duration, Instant};
 
 use crate::hist::LatencyHistogram;
 use crate::proto::{
-    error_reply, kind, ok_reply, retryable_kind, FrameError, FrameReader, GrammarRef, Request,
+    error_reply, kind, ok_reply, retryable_kind, serve_frames, write_frame, FrameError,
+    FrameReader, GrammarRef, Request, Stream,
 };
 use crate::store::{fnv1a, grammar_key};
 
@@ -101,25 +101,20 @@ impl ShardAddr {
 
     /// Open a fresh connection with `timeout` as the connect (TCP) and
     /// read/write deadline.
-    fn connect(&self, timeout: Duration) -> std::io::Result<ShardConn> {
-        match self {
-            ShardAddr::Unix(path) => {
-                let s = UnixStream::connect(path)?;
-                s.set_read_timeout(Some(timeout))?;
-                s.set_write_timeout(Some(timeout))?;
-                Ok(ShardConn::Unix(s))
-            }
+    pub(crate) fn connect(&self, timeout: Duration) -> std::io::Result<Stream> {
+        let stream = match self {
+            ShardAddr::Unix(path) => Stream::unix(UnixStream::connect(path)?),
             ShardAddr::Tcp(addr) => {
                 let resolved = addr
                     .to_socket_addrs()?
                     .next()
                     .ok_or_else(|| std::io::Error::other("address resolves to nothing"))?;
-                let s = TcpStream::connect_timeout(&resolved, timeout)?;
-                s.set_read_timeout(Some(timeout))?;
-                s.set_write_timeout(Some(timeout))?;
-                Ok(ShardConn::Tcp(s))
+                Stream::tcp(TcpStream::connect_timeout(&resolved, timeout)?)?
             }
-        }
+        };
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Ok(stream)
     }
 }
 
@@ -128,35 +123,6 @@ impl std::fmt::Display for ShardAddr {
         match self {
             ShardAddr::Unix(p) => write!(f, "unix:{}", p.display()),
             ShardAddr::Tcp(a) => write!(f, "tcp:{}", a),
-        }
-    }
-}
-
-enum ShardConn {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl std::io::Read for ShardConn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            ShardConn::Unix(s) => s.read(buf),
-            ShardConn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ShardConn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            ShardConn::Unix(s) => s.write(buf),
-            ShardConn::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            ShardConn::Unix(s) => s.flush(),
-            ShardConn::Tcp(s) => s.flush(),
         }
     }
 }
@@ -540,7 +506,9 @@ impl Router {
             threads.push(
                 std::thread::Builder::new()
                     .name("router-accept-unix".to_string())
-                    .spawn(move || accept_unix(&listener, &state))?,
+                    .spawn(move || {
+                        accept(listener.incoming().map(|c| c.map(Stream::unix)), &state)
+                    })?,
             );
         }
         if let Some(listener) = tcp_listener {
@@ -548,7 +516,9 @@ impl Router {
             threads.push(
                 std::thread::Builder::new()
                     .name("router-accept-tcp".to_string())
-                    .spawn(move || accept_tcp(&listener, &state))?,
+                    .spawn(move || {
+                        accept(listener.incoming().map(|c| c.and_then(Stream::tcp)), &state)
+                    })?,
             );
         }
         {
@@ -629,8 +599,8 @@ fn request_drain(state: &RouterState) {
     }
 }
 
-fn accept_unix(listener: &UnixListener, state: &Arc<RouterState>) {
-    for conn in listener.incoming() {
+fn accept(incoming: impl Iterator<Item = std::io::Result<Stream>>, state: &Arc<RouterState>) {
+    for conn in incoming {
         if state.is_shutting_down() {
             return;
         }
@@ -640,77 +610,18 @@ fn accept_unix(listener: &UnixListener, state: &Arc<RouterState>) {
                 .name("router-conn".to_string())
                 .spawn(move || {
                     let _unused = stream.set_read_timeout(state.cfg.idle_timeout);
-                    client_conn(stream, &state);
-                });
-        }
-    }
-}
-
-fn accept_tcp(listener: &TcpListener, state: &Arc<RouterState>) {
-    for conn in listener.incoming() {
-        if state.is_shutting_down() {
-            return;
-        }
-        if let Ok(stream) = conn {
-            let state = Arc::clone(state);
-            let _unused = std::thread::Builder::new()
-                .name("router-conn".to_string())
-                .spawn(move || {
-                    let _unused = stream.set_read_timeout(state.cfg.idle_timeout);
-                    client_conn(stream, &state);
-                });
-        }
-    }
-}
-
-/// One client session against the router: same framing discipline as
-/// the single daemon's `serve_conn`.
-fn client_conn<S: std::io::Read + Write>(stream: S, state: &Arc<RouterState>) {
-    let mut frames = FrameReader::new(stream, state.cfg.max_frame_len);
-    loop {
-        let line = match frames.read_frame() {
-            Ok(line) => line,
-            Err(FrameError::TooLarge { limit }) => {
-                let reply = error_reply(
-                    kind::FRAME_TOO_LARGE,
-                    &format!("request line exceeds the {}-byte frame bound", limit),
-                );
-                let w = frames.get_mut();
-                let _unused = writeln!(w, "{}", reply).and_then(|()| w.flush());
-                return;
-            }
-            Err(FrameError::IdleTimeout { mid_frame }) => {
-                if mid_frame {
-                    let reply = error_reply(
-                        kind::IDLE_TIMEOUT,
-                        "connection stalled mid-request past the idle deadline",
+                    let stop = serve_frames(
+                        stream,
+                        state.cfg.max_frame_len,
+                        |_| {
+                            state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                        },
+                        |line| route_line(line, &state),
                     );
-                    let w = frames.get_mut();
-                    let _unused = writeln!(w, "{}", reply).and_then(|()| w.flush());
-                }
-                return;
-            }
-            Err(FrameError::BadUtf8) => {
-                let reply = error_reply(kind::BAD_REQUEST, "request line is not UTF-8");
-                let w = frames.get_mut();
-                if writeln!(w, "{}", reply).and_then(|()| w.flush()).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (reply, stop) = route_line(&line, state);
-        let w = frames.get_mut();
-        if writeln!(w, "{}", reply).and_then(|()| w.flush()).is_err() {
-            return;
-        }
-        if stop {
-            request_drain(state);
-            return;
+                    if stop {
+                        request_drain(&state);
+                    }
+                });
         }
     }
 }
@@ -924,8 +835,7 @@ fn forward_once(
     max_frame_len: usize,
 ) -> std::io::Result<Json> {
     let mut conn = addr.connect(timeout)?;
-    writeln!(conn, "{}", line.trim_end())?;
-    conn.flush()?;
+    write_frame(&mut conn, &line.trim_end())?;
     let mut frames = FrameReader::new(conn, max_frame_len);
     let reply = match frames.read_frame() {
         Ok(l) => l,

@@ -34,7 +34,6 @@ use linguist_frontend::report::synthesize_tree;
 use linguist_frontend::translate::standard_intrinsics;
 use linguist_support::intern::NameTable;
 use linguist_support::json::Json;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -47,7 +46,7 @@ use std::time::{Duration, Instant};
 use crate::pool::{PoolStats, SubmitError, WorkerPool};
 use crate::proto::{
     error_reply, error_reply_with, eval_error_kind, kind, load_error_detail, load_error_kind,
-    ok_reply, translate_error_kind, FrameError, FrameReader, GrammarRef, Request, Work,
+    ok_reply, serve_frames, translate_error_kind, GrammarRef, Request, Stream, Work,
     DEFAULT_MAX_FRAME_LEN,
 };
 use crate::stats::ServiceMetrics;
@@ -205,7 +204,9 @@ impl Server {
             acceptors.push(
                 std::thread::Builder::new()
                     .name("serve-accept-unix".to_string())
-                    .spawn(move || accept_unix(&listener, &state))?,
+                    .spawn(move || {
+                        accept(listener.incoming().map(|c| c.map(Stream::unix)), &state)
+                    })?,
             );
         }
         if let Some(listener) = tcp_listener {
@@ -213,7 +214,9 @@ impl Server {
             acceptors.push(
                 std::thread::Builder::new()
                     .name("serve-accept-tcp".to_string())
-                    .spawn(move || accept_tcp(&listener, &state))?,
+                    .spawn(move || {
+                        accept(listener.incoming().map(|c| c.and_then(Stream::tcp)), &state)
+                    })?,
             );
         }
         Ok(ServerHandle { state, acceptors })
@@ -295,8 +298,8 @@ fn request_shutdown(state: &ServiceState) {
     }
 }
 
-fn accept_unix(listener: &UnixListener, state: &Arc<ServiceState>) {
-    for conn in listener.incoming() {
+fn accept(incoming: impl Iterator<Item = std::io::Result<Stream>>, state: &Arc<ServiceState>) {
+    for conn in incoming {
         if state.is_shutting_down() {
             return;
         }
@@ -306,91 +309,16 @@ fn accept_unix(listener: &UnixListener, state: &Arc<ServiceState>) {
                 .name("serve-conn".to_string())
                 .spawn(move || {
                     let _unused = stream.set_read_timeout(state.idle_timeout);
-                    serve_conn(stream, &state);
-                });
-        }
-    }
-}
-
-fn accept_tcp(listener: &TcpListener, state: &Arc<ServiceState>) {
-    for conn in listener.incoming() {
-        if state.is_shutting_down() {
-            return;
-        }
-        if let Ok(stream) = conn {
-            let state = Arc::clone(state);
-            let _unused = std::thread::Builder::new()
-                .name("serve-conn".to_string())
-                .spawn(move || {
-                    let _unused = stream.set_read_timeout(state.idle_timeout);
-                    serve_conn(stream, &state);
-                });
-        }
-    }
-}
-
-/// One client session: request lines in, reply lines out, in order.
-///
-/// The socket carries its idle read deadline as an OS read timeout
-/// (set by the acceptor), so a single timed-out read *is* the idle
-/// deadline firing. A stall mid-request earns a typed `idle_timeout`
-/// reply before the close; a connection that is merely idle between
-/// requests is closed silently. Either way the thread is freed — a
-/// slow-loris client cannot pin it.
-fn serve_conn<S: Read + Write>(stream: S, state: &Arc<ServiceState>) {
-    let mut frames = FrameReader::new(stream, state.max_frame_len);
-    loop {
-        let line = match frames.read_frame() {
-            Ok(line) => line,
-            Err(FrameError::TooLarge { limit }) => {
-                state.metrics.record_error(kind::FRAME_TOO_LARGE);
-                // No resync is possible (the frame boundary is lost),
-                // so reply typed and close.
-                let reply = error_reply(
-                    kind::FRAME_TOO_LARGE,
-                    &format!("request line exceeds the {}-byte frame bound", limit),
-                );
-                let w = frames.get_mut();
-                let _unused = writeln!(w, "{}", reply).and_then(|()| w.flush());
-                return;
-            }
-            Err(FrameError::IdleTimeout { mid_frame }) => {
-                if mid_frame {
-                    state.metrics.record_error(kind::IDLE_TIMEOUT);
-                    let reply = error_reply(
-                        kind::IDLE_TIMEOUT,
-                        "connection stalled mid-request past the idle deadline",
+                    let stop = serve_frames(
+                        stream,
+                        state.max_frame_len,
+                        |kind| state.metrics.record_error(kind),
+                        |line| dispatch_line(line, &state),
                     );
-                    let w = frames.get_mut();
-                    let _unused = writeln!(w, "{}", reply).and_then(|()| w.flush());
-                }
-                return;
-            }
-            Err(FrameError::BadUtf8) => {
-                // The frame boundary is intact, so reply and carry on.
-                state.metrics.record_error(kind::BAD_REQUEST);
-                let reply = error_reply(kind::BAD_REQUEST, "request line is not UTF-8");
-                let w = frames.get_mut();
-                if writeln!(w, "{}", reply).and_then(|()| w.flush()).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Err(FrameError::Eof | FrameError::TruncatedFrame | FrameError::Io(_)) => {
-                return; // client hung up
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (reply, stop) = dispatch_line(&line, state);
-        let w = frames.get_mut();
-        if writeln!(w, "{}", reply).and_then(|()| w.flush()).is_err() {
-            return;
-        }
-        if stop {
-            request_shutdown(state);
-            return;
+                    if stop {
+                        request_shutdown(&state);
+                    }
+                });
         }
     }
 }

@@ -51,6 +51,10 @@
 #      fresh run and the committed copy show records-written reduced on
 #      >=3 bundled grammars with pass counts never increasing, and no
 #      grammar pays a >2% wall-time regression
+#  21. serve over TCP: two shard daemons and a router on loopback TCP
+#      answer 40 translate round trips on one client connection, every
+#      reply ok, with a median under 10 ms (a frame split over several
+#      writes with Nagle on waits ~40 ms for the delayed ACK)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -456,5 +460,67 @@ assert reduced >= 3, (snap, "records-written must shrink on >=3 grammars", reduc
 ' $SNAP
 done
 echo "bench snapshot parses; records-written shrinks, no wall-time regression"
+
+echo "== serve over TCP: no delayed-ACK floor =="
+# Every other serve smoke runs over Unix sockets. Here each hop is
+# loopback TCP: a python client on one connection -> router -> shard.
+# The daemons print their bound address on stderr.
+TCPLOG="$(mktemp -d)"
+target/release/linguist serve --tcp 127.0.0.1:0 --workers 1 2> "$TCPLOG/s1" &
+T1_PID=$!
+target/release/linguist serve --tcp 127.0.0.1:0 --workers 1 2> "$TCPLOG/s2" &
+T2_PID=$!
+TR_PID=""
+trap 'rm -rf "$CKPT" "$TCPLOG"
+      for P in "$SERVE_PID" "$S1_PID" "$S2_PID" "$ROUTER_PID" "$CHAOS_PID" "$AOT_PID" "$ON_PID" "$OFF_PID" "$T1_PID" "$T2_PID" "$TR_PID"; do
+        [ -n "$P" ] && kill "$P" 2>/dev/null || true
+      done
+      rm -f "$SOCK" "$RS1" "$RS2" "$FRONT" "$AOTSOCK" "$ONSOCK" "$OFFSOCK"' EXIT
+tcp_addr() {
+  for _ in $(seq 1 100); do
+    ADDR="$(sed -n 's/.*listening on tcp //p' "$1")"
+    [ -n "$ADDR" ] && { echo "$ADDR"; return 0; }
+    sleep 0.05
+  done
+  return 1
+}
+T1_ADDR="$(tcp_addr "$TCPLOG/s1")" || { echo "shard 1 never bound tcp"; exit 1; }
+T2_ADDR="$(tcp_addr "$TCPLOG/s2")" || { echo "shard 2 never bound tcp"; exit 1; }
+target/release/linguist router --tcp 127.0.0.1:0 \
+    --shard "tcp:$T1_ADDR" --shard "tcp:$T2_ADDR" 2> "$TCPLOG/router" &
+TR_PID=$!
+TR_ADDR="$(tcp_addr "$TCPLOG/router")" || { echo "router never bound tcp"; exit 1; }
+python3 - "$TR_ADDR" crates/grammars/lg/calc.lg <<'PY'
+import json, socket, statistics, sys, time
+host, port = sys.argv[1].rsplit(":", 1)
+conn = socket.create_connection((host, int(port)), timeout=10)
+replies = conn.makefile("rb")
+def roundtrip(request):
+    conn.sendall((json.dumps(request) + "\n").encode())
+    reply = json.loads(replies.readline())
+    assert reply["ok"], reply
+    return reply
+source = open(sys.argv[2]).read()
+handle = roundtrip({"op": "load_grammar", "source": source, "scanner": "calc"})["grammar"]
+ms = []
+for i in range(40):
+    started = time.perf_counter()
+    roundtrip({"op": "translate", "grammar": handle, "input": f"{i} + 2 * 3"})
+    ms.append((time.perf_counter() - started) * 1000)
+median = statistics.median(ms)
+assert median < 10, f"median translate round trip {median:.2f} ms: the delayed-ACK floor is back"
+print(f"40 translates over router + shards on TCP: median {median:.2f} ms, max {max(ms):.2f} ms")
+PY
+target/release/linguist client --tcp "$TR_ADDR" shutdown > /dev/null
+wait "$TR_PID" || { echo "tcp router exited non-zero"; exit 1; }
+TR_PID=""
+target/release/linguist client --tcp "$T1_ADDR" shutdown > /dev/null
+wait "$T1_PID" || { echo "tcp shard 1 exited non-zero"; exit 1; }
+T1_PID=""
+target/release/linguist client --tcp "$T2_ADDR" shutdown > /dev/null
+wait "$T2_PID" || { echo "tcp shard 2 exited non-zero"; exit 1; }
+T2_PID=""
+rm -rf "$TCPLOG"
+echo "every TCP round trip ok, median under 10 ms"
 
 echo "verify: all green"

@@ -6,8 +6,10 @@
 //! grammar, synthesize one serve-shaped derivation and time three warm
 //! paths over the same tree with the same serve-job options:
 //!
-//! * `interpreted` — the in-process multi-pass interpreter exactly as
-//!   a warm daemon job runs it (memory backing, profile on);
+//! * `interpreted` — the in-process multi-pass interpreter as a warm
+//!   daemon job runs it (memory backing), with profiling off: these are
+//!   headline numbers, and the profiler's counters are not part of the
+//!   evaluator's cost;
 //! * `aot` — the checked-in generated evaluator, resolved by content
 //!   hash and called in-process through the engine;
 //! * `jit` — the same generated source compiled on demand by `rustc`
@@ -19,7 +21,7 @@
 //! before timing starts, so the snapshot can't report speedups for an
 //! engine that disagrees. The snapshot lands in
 //! `target/BENCH_compiled_vs_interpreted.json`; the repo root carries a
-//! committed copy with the measured single-core CI numbers.
+//! committed copy with numbers measured on a 2-vCPU Xeon.
 
 use linguist_ag::passes::Direction;
 use linguist_bench::{rule, write_snapshot};
@@ -77,10 +79,9 @@ fn main() {
             Direction::RightToLeft => Strategy::BottomUp,
             Direction::LeftToRight => Strategy::Prefix,
         };
-        // The exact options a warm daemon job uses.
+        // The options a warm daemon job uses, minus profiling.
         let opts = EvalOptions {
             strategy,
-            profile: true,
             backing: Backing::Memory,
             ..EvalOptions::default()
         };
@@ -110,7 +111,6 @@ fn main() {
         // CLI and batch paths run by default.
         let file_opts = EvalOptions {
             strategy,
-            profile: true,
             backing: Backing::Disk,
             ..EvalOptions::default()
         };
@@ -180,7 +180,7 @@ fn main() {
     let json = format!(
         "{{\"budget\":{},\"iters\":{},\"aot_speedup_geomean\":{:.2},\
          \"aot_speedup_vs_files_geomean\":{:.2},\
-         \"note\":\"single-core CI box; serve-shaped warm jobs (profile on); interpreted_us is \
+         \"note\":\"2-vCPU Xeon; serve-shaped warm jobs (profile off); interpreted_us is \
          the serve tier's memory-backed fast path, file_interpreted_us the paper-faithful \
          disk-backed default; aot_us includes per-job APT framing and output decode at the ABI \
          boundary; jit_us additionally includes per-run subprocess spawn\",\"rows\":[{}]}}",

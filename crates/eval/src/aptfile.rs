@@ -56,7 +56,7 @@ const HEADER_CRC_AT: usize = 24;
 const FRAME_OVERHEAD: u64 = 12;
 /// Smallest possible framed record: the frame overhead around the
 /// minimal payload (1-byte tag + 4-byte id + 2-byte value count).
-const MIN_FRAMED_RECORD: u64 = FRAME_OVERHEAD + 7;
+const MIN_FRAMED_RECORD: u64 = FRAME_OVERHEAD + PAYLOAD_HEAD as u64;
 
 fn encode_header(records: u64, bytes: u64) -> [u8; HEADER_LEN as usize] {
     let mut h = [0u8; HEADER_LEN as usize];
@@ -267,21 +267,11 @@ impl Record {
     /// Serialized payload bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        match self.body {
-            RecordBody::Sym(s) => {
-                out.push(0u8);
-                out.extend_from_slice(&s.0.to_le_bytes());
-            }
-            RecordBody::Prod(p) => {
-                out.push(1u8);
-                out.extend_from_slice(&p.0.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.values.len() as u16).to_le_bytes());
-        for (a, v) in &self.values {
-            out.extend_from_slice(&a.0.to_le_bytes());
-            v.encode(&mut out);
-        }
+        encode_payload(
+            &mut out,
+            self.body,
+            self.values.iter().map(|(a, v)| (*a, v)),
+        );
         out
     }
 
@@ -339,10 +329,43 @@ impl Record {
             .map(|(_, v)| v)
     }
 
-    /// Approximate on-disk size (payload plus frame lengths and CRC).
+    /// On-disk size: payload plus frame lengths and CRC. This is the
+    /// charge the evaluation machine's memory meter takes for a record on
+    /// the stack; it equals `encode().len()` plus the frame overhead,
+    /// computed without encoding (each [`Value::byte_size`] is its
+    /// encoded length).
     pub fn byte_size(&self) -> usize {
-        self.encode().len() + FRAME_OVERHEAD as usize
+        let values: usize = self.values.iter().map(|(_, v)| 4 + v.byte_size()).sum();
+        FRAME_OVERHEAD as usize + PAYLOAD_HEAD + values
     }
+}
+
+/// Payload bytes before the values: tag (1) + id (4) + value count (2).
+const PAYLOAD_HEAD: usize = 7;
+
+/// Append a record payload to `out`. `values` must come in ascending
+/// attribute order, as [`Record::values`] does.
+fn encode_payload<'v>(
+    out: &mut Vec<u8>,
+    body: RecordBody,
+    values: impl IntoIterator<Item = (AttrId, &'v Value)>,
+) {
+    let (tag, id) = match body {
+        RecordBody::Sym(s) => (0u8, s.0),
+        RecordBody::Prod(p) => (1u8, p.0),
+    };
+    out.push(tag);
+    out.extend_from_slice(&id.to_le_bytes());
+    // The count is patched in once the values are out.
+    let count_at = out.len();
+    out.extend_from_slice(&[0, 0]);
+    let mut count = 0usize;
+    for (a, v) in values {
+        out.extend_from_slice(&a.0.to_le_bytes());
+        v.encode(out);
+        count += 1;
+    }
+    out[count_at..count_at + 2].copy_from_slice(&(count as u16).to_le_bytes());
 }
 
 /// I/O or format failure on an APT file.
@@ -498,6 +521,9 @@ pub struct AptWriter {
     profile: Option<Arc<IoCounters>>,
     fault: Option<FaultSpec>,
     lock_tally: Option<Arc<AtomicU64>>,
+    /// Frame buffer reused by every record for the file and
+    /// mutex-guarded memory sinks.
+    scratch: Vec<u8>,
 }
 
 #[derive(Debug)]
@@ -511,6 +537,22 @@ enum Sink {
 }
 
 impl AptWriter {
+    /// A writer over `sink`, which already holds the placeholder header.
+    fn with_sink(sink: Sink, path: Option<PathBuf>) -> AptWriter {
+        AptWriter {
+            sink,
+            path,
+            bytes: 0,
+            records: 0,
+            crc: 0,
+            sync: false,
+            profile: None,
+            fault: None,
+            lock_tally: None,
+            scratch: Vec::new(),
+        }
+    }
+
     /// Create (truncate) the file at `path`.
     ///
     /// # Errors
@@ -521,17 +563,10 @@ impl AptWriter {
             let mut f = BufWriter::new(File::create(path)?);
             // Placeholder header; `finish` seeks back and patches the totals.
             f.write_all(&encode_header(0, 0))?;
-            Ok(AptWriter {
-                sink: Sink::File(f),
-                path: Some(path.to_path_buf()),
-                bytes: 0,
-                records: 0,
-                crc: 0,
-                sync: false,
-                profile: None,
-                fault: None,
-                lock_tally: None,
-            })
+            Ok(AptWriter::with_sink(
+                Sink::File(f),
+                Some(path.to_path_buf()),
+            ))
         };
         inner().map_err(|e| e.in_file(path))
     }
@@ -546,17 +581,7 @@ impl AptWriter {
             b.clear();
             b.extend_from_slice(&encode_header(0, 0));
         }
-        AptWriter {
-            sink: Sink::Mem(buf),
-            path: None,
-            bytes: 0,
-            records: 0,
-            crc: 0,
-            sync: false,
-            profile: None,
-            fault: None,
-            lock_tally: None,
-        }
+        AptWriter::with_sink(Sink::Mem(buf), None)
     }
 
     /// Create a writer over a freshly owned memory buffer.
@@ -566,19 +591,7 @@ impl AptWriter {
     /// refcount. Retrieve the sealed buffer with
     /// [`finish_owned`](Self::finish_owned).
     pub fn create_owned() -> AptWriter {
-        let mut b = Vec::new();
-        b.extend_from_slice(&encode_header(0, 0));
-        AptWriter {
-            sink: Sink::Owned(b),
-            path: None,
-            bytes: 0,
-            records: 0,
-            crc: 0,
-            sync: false,
-            profile: None,
-            fault: None,
-            lock_tally: None,
-        }
+        AptWriter::with_sink(Sink::Owned(encode_header(0, 0).to_vec()), None)
     }
 
     /// Attach a contention-visibility counter: every mutex acquisition on
@@ -615,7 +628,19 @@ impl AptWriter {
     /// Propagates filesystem errors (memory writers only fail through an
     /// injected [`FaultSpec`]); disk errors carry the file path.
     pub fn write(&mut self, rec: &Record) -> Result<(), AptError> {
-        match self.write_inner(rec) {
+        self.write_values(rec.body, rec.values.iter().map(|(a, v)| (*a, v)))
+    }
+
+    /// Append the record made of `body` and `values` without building a
+    /// [`Record`]: the evaluation machine writes a node straight from its
+    /// frame. `values` must come in ascending attribute order. The bytes
+    /// are exactly those [`write`](Self::write) produces.
+    pub(crate) fn write_values<'v>(
+        &mut self,
+        body: RecordBody,
+        values: impl IntoIterator<Item = (AttrId, &'v Value)>,
+    ) -> Result<(), AptError> {
+        match self.write_inner(body, values) {
             Ok(()) => Ok(()),
             Err(e) => Err(match &self.path {
                 Some(p) => e.in_file(p),
@@ -624,43 +649,48 @@ impl AptWriter {
         }
     }
 
-    fn write_inner(&mut self, rec: &Record) -> Result<(), AptError> {
+    fn write_inner<'v>(
+        &mut self,
+        body: RecordBody,
+        values: impl IntoIterator<Item = (AttrId, &'v Value)>,
+    ) -> Result<(), AptError> {
         if let Some(fault) = &self.fault {
             fault.fire(self.records)?;
         }
-        let payload = rec.encode();
-        let len = (payload.len() as u32).to_le_bytes();
-        let rec_crc = crc::crc32(&payload).to_le_bytes();
-        match &mut self.sink {
-            Sink::File(f) => {
-                f.write_all(&len)?;
-                f.write_all(&payload)?;
-                f.write_all(&rec_crc)?;
-                f.write_all(&len)?;
+        // Frame the record in place at the end of an owned sink, or in
+        // the reusable scratch buffer for the other sinks: no allocation
+        // per record either way.
+        let buf = match &mut self.sink {
+            Sink::Owned(b) => b,
+            Sink::File(_) | Sink::Mem(_) => {
+                self.scratch.clear();
+                &mut self.scratch
             }
+        };
+        let start = buf.len();
+        buf.extend_from_slice(&[0; 4]);
+        encode_payload(buf, body, values);
+        let len = (buf.len() - start - 4) as u32;
+        let rec_crc = crc::crc32(&buf[start + 4..]);
+        buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        buf.extend_from_slice(&rec_crc.to_le_bytes());
+        buf.extend_from_slice(&len.to_le_bytes());
+        // Running whole-body CRC, framed bytes in file order.
+        let body_crc = crc::update(self.crc, &buf[start..]);
+        match &mut self.sink {
+            Sink::File(f) => f.write_all(&self.scratch)?,
             Sink::Mem(m) => {
                 if let Some(t) = &self.lock_tally {
                     t.fetch_add(1, Ordering::Relaxed);
                 }
-                let mut b = m.lock().expect("mem file poisoned");
-                b.extend_from_slice(&len);
-                b.extend_from_slice(&payload);
-                b.extend_from_slice(&rec_crc);
-                b.extend_from_slice(&len);
+                m.lock()
+                    .expect("mem file poisoned")
+                    .extend_from_slice(&self.scratch);
             }
-            Sink::Owned(b) => {
-                b.extend_from_slice(&len);
-                b.extend_from_slice(&payload);
-                b.extend_from_slice(&rec_crc);
-                b.extend_from_slice(&len);
-            }
+            Sink::Owned(_) => {}
         }
-        // Running whole-body CRC, framed bytes in file order.
-        self.crc = crc::update(self.crc, &len);
-        self.crc = crc::update(self.crc, &payload);
-        self.crc = crc::update(self.crc, &rec_crc);
-        self.crc = crc::update(self.crc, &len);
-        let framed = payload.len() as u64 + FRAME_OVERHEAD;
+        self.crc = body_crc;
+        let framed = len as u64 + FRAME_OVERHEAD;
         self.bytes += framed;
         self.records += 1;
         if let Some(p) = &self.profile {
@@ -787,28 +817,32 @@ pub struct AptReader {
     profile: Option<Arc<IoCounters>>,
     fault: Option<FaultSpec>,
     lock_tally: Option<Arc<AtomicU64>>,
+    /// Payload buffer reused by every record for the file and
+    /// mutex-guarded memory sources; a sealed buffer is decoded in place.
+    buf: Vec<u8>,
 }
 
 #[derive(Debug)]
 enum Source {
     File(File),
     Mem(MemFile),
-    /// A sealed boundary buffer shared immutably: reads are plain slice
-    /// copies with no lock — the shared-nothing hot path. The `Arc` is
-    /// cloned once per pass (when the store hands out the reader), never
-    /// per record.
+    /// A sealed boundary buffer shared immutably: payloads are decoded
+    /// in place with no lock and no copy — the shared-nothing hot path.
+    /// The `Arc` is cloned once per pass (when the store hands out the
+    /// reader), never per record.
     Shared(Arc<Vec<u8>>),
 }
 
 impl Source {
     fn read_at(
-        &mut self,
+        &self,
         pos: u64,
         out: &mut [u8],
         lock_tally: Option<&Arc<AtomicU64>>,
     ) -> Result<(), AptError> {
         match self {
             Source::File(f) => {
+                let mut f: &File = f;
                 f.seek(SeekFrom::Start(pos))?;
                 f.read_exact(out)?;
                 Ok(())
@@ -818,23 +852,40 @@ impl Source {
                     t.fetch_add(1, Ordering::Relaxed);
                 }
                 let b = m.lock().expect("mem file poisoned");
-                let start = pos as usize;
-                let slice = b
-                    .get(start..start + out.len())
-                    .ok_or(AptError::Frame { at: pos })?;
-                out.copy_from_slice(slice);
+                out.copy_from_slice(slice_at(&b, pos, out.len())?);
                 Ok(())
             }
             Source::Shared(b) => {
-                let start = pos as usize;
-                let slice = b
-                    .get(start..start + out.len())
-                    .ok_or(AptError::Frame { at: pos })?;
-                out.copy_from_slice(slice);
+                out.copy_from_slice(slice_at(b, pos, out.len())?);
                 Ok(())
             }
         }
     }
+
+    /// The `len` bytes at `pos`: borrowed in place from a sealed shared
+    /// buffer, otherwise read into `buf` (reused across records).
+    fn bytes_at<'s>(
+        &'s self,
+        pos: u64,
+        len: usize,
+        buf: &'s mut Vec<u8>,
+        lock_tally: Option<&Arc<AtomicU64>>,
+    ) -> Result<&'s [u8], AptError> {
+        match self {
+            Source::Shared(b) => slice_at(b, pos, len),
+            Source::File(_) | Source::Mem(_) => {
+                buf.clear();
+                buf.resize(len, 0);
+                self.read_at(pos, buf, lock_tally)?;
+                Ok(buf)
+            }
+        }
+    }
+}
+
+fn slice_at(b: &[u8], pos: u64, len: usize) -> Result<&[u8], AptError> {
+    let start = pos as usize;
+    b.get(start..start + len).ok_or(AptError::Frame { at: pos })
 }
 
 /// Parse and validate a header read into `head` from a file `len` bytes
@@ -881,6 +932,33 @@ fn check_header(head: &[u8], len: u64) -> Result<(u64, u64, u64), AptError> {
 }
 
 impl AptReader {
+    /// A reader of `src` in `dir`, given what [`check_header`] returned.
+    fn with_source(
+        src: Source,
+        path: Option<PathBuf>,
+        dir: ReadDir,
+        (end, total_records, total_bytes): (u64, u64, u64),
+    ) -> AptReader {
+        AptReader {
+            src,
+            path,
+            pos: match dir {
+                ReadDir::Forward => HEADER_LEN,
+                ReadDir::Backward => end,
+            },
+            end,
+            dir,
+            bytes: 0,
+            records: 0,
+            total_records,
+            total_bytes,
+            profile: None,
+            fault: None,
+            lock_tally: None,
+            buf: Vec::new(),
+        }
+    }
+
     /// Open `path` for reading in `dir`.
     ///
     /// # Errors
@@ -901,24 +979,13 @@ impl AptReader {
             let mut head = [0u8; HEADER_LEN as usize];
             file.seek(SeekFrom::Start(0))?;
             file.read_exact(&mut head)?;
-            let (end, total_records, total_bytes) = check_header(&head, len)?;
-            Ok(AptReader {
-                src: Source::File(file),
-                path: Some(path.to_path_buf()),
-                pos: match dir {
-                    ReadDir::Forward => HEADER_LEN,
-                    ReadDir::Backward => end,
-                },
-                end,
+            let totals = check_header(&head, len)?;
+            Ok(AptReader::with_source(
+                Source::File(file),
+                Some(path.to_path_buf()),
                 dir,
-                bytes: 0,
-                records: 0,
-                total_records,
-                total_bytes,
-                profile: None,
-                fault: None,
-                lock_tally: None,
-            })
+                totals,
+            ))
         };
         inner().map_err(|e| e.in_file(path))
     }
@@ -934,7 +1001,7 @@ impl AptReader {
     /// Returns [`AptError::Header`] under the same conditions as
     /// [`open`](Self::open).
     pub fn open_mem(buf: MemFile, dir: ReadDir) -> Result<AptReader, AptError> {
-        let (end, total_records, total_bytes) = {
+        let totals = {
             let b = buf.lock().expect("mem file poisoned");
             let len = b.len() as u64;
             if len < HEADER_LEN {
@@ -942,30 +1009,14 @@ impl AptReader {
             }
             check_header(&b[..HEADER_LEN as usize], len)?
         };
-        Ok(AptReader {
-            src: Source::Mem(buf),
-            path: None,
-            pos: match dir {
-                ReadDir::Forward => HEADER_LEN,
-                ReadDir::Backward => end,
-            },
-            end,
-            dir,
-            bytes: 0,
-            records: 0,
-            total_records,
-            total_bytes,
-            profile: None,
-            fault: None,
-            lock_tally: None,
-        })
+        Ok(AptReader::with_source(Source::Mem(buf), None, dir, totals))
     }
 
     /// Open a sealed, immutably shared boundary buffer for reading in
     /// `dir` — the shared-nothing hot path. The contents are never
-    /// mutated after [`AptWriter::finish_owned`] seals them, so reads are
-    /// lock-free slice copies; the `Arc` clone happens once here, not per
-    /// record.
+    /// mutated after [`AptWriter::finish_owned`] seals them, so payloads
+    /// are decoded in place without a lock or a copy; the `Arc` clone
+    /// happens once here, not per record.
     ///
     /// # Errors
     ///
@@ -976,24 +1027,13 @@ impl AptReader {
         if len < HEADER_LEN {
             return Err(AptError::Header(HeaderError::Truncated { len }));
         }
-        let (end, total_records, total_bytes) = check_header(&buf[..HEADER_LEN as usize], len)?;
-        Ok(AptReader {
-            src: Source::Shared(buf),
-            path: None,
-            pos: match dir {
-                ReadDir::Forward => HEADER_LEN,
-                ReadDir::Backward => end,
-            },
-            end,
+        let totals = check_header(&buf[..HEADER_LEN as usize], len)?;
+        Ok(AptReader::with_source(
+            Source::Shared(buf),
+            None,
             dir,
-            bytes: 0,
-            records: 0,
-            total_records,
-            total_bytes,
-            profile: None,
-            fault: None,
-            lock_tally: None,
-        })
+            totals,
+        ))
     }
 
     /// Attach a contention-visibility counter: every mutex acquisition on
@@ -1040,34 +1080,20 @@ impl AptReader {
         if let Some(fault) = &self.fault {
             fault.fire(self.records)?;
         }
-        match self.dir {
+        let tally = self.lock_tally.as_ref();
+        // Locate the frame `[len][payload][crc][len]` starting at `start`.
+        let (start, len4) = match self.dir {
             ReadDir::Forward => {
                 if self.pos >= self.end {
                     return Ok(None);
                 }
                 let mut len4 = [0u8; 4];
-                self.src
-                    .read_at(self.pos, &mut len4, self.lock_tally.as_ref())?;
+                self.src.read_at(self.pos, &mut len4, tally)?;
                 let len = u32::from_le_bytes(len4) as u64;
                 if self.pos + FRAME_OVERHEAD + len > self.end {
                     return Err(AptError::Frame { at: self.pos });
                 }
-                let mut payload = vec![0u8; len as usize];
-                self.src
-                    .read_at(self.pos + 4, &mut payload, self.lock_tally.as_ref())?;
-                let mut crc4 = [0u8; 4];
-                self.src
-                    .read_at(self.pos + 4 + len, &mut crc4, self.lock_tally.as_ref())?;
-                let mut trail = [0u8; 4];
-                self.src
-                    .read_at(self.pos + 8 + len, &mut trail, self.lock_tally.as_ref())?;
-                if trail != len4 {
-                    return Err(AptError::Frame { at: self.pos });
-                }
-                self.check_crc(self.pos, &payload, crc4)?;
-                self.pos += FRAME_OVERHEAD + len;
-                self.advance(FRAME_OVERHEAD + len);
-                Ok(Some(Record::decode(&payload)?))
+                (self.pos, len4)
             }
             ReadDir::Backward => {
                 if self.pos == HEADER_LEN {
@@ -1077,44 +1103,41 @@ impl AptReader {
                     return Err(AptError::Frame { at: self.pos });
                 }
                 let mut len4 = [0u8; 4];
-                self.src
-                    .read_at(self.pos - 4, &mut len4, self.lock_tally.as_ref())?;
+                self.src.read_at(self.pos - 4, &mut len4, tally)?;
                 let len = u32::from_le_bytes(len4) as u64;
                 if self.pos < HEADER_LEN + FRAME_OVERHEAD + len {
                     return Err(AptError::Frame { at: self.pos });
                 }
                 let start = self.pos - FRAME_OVERHEAD - len;
                 let mut lead = [0u8; 4];
-                self.src
-                    .read_at(start, &mut lead, self.lock_tally.as_ref())?;
+                self.src.read_at(start, &mut lead, tally)?;
                 if lead != len4 {
                     return Err(AptError::Frame { at: self.pos });
                 }
-                let mut payload = vec![0u8; len as usize];
-                self.src
-                    .read_at(start + 4, &mut payload, self.lock_tally.as_ref())?;
-                let mut crc4 = [0u8; 4];
-                self.src
-                    .read_at(start + 4 + len, &mut crc4, self.lock_tally.as_ref())?;
-                self.check_crc(start, &payload, crc4)?;
-                self.pos = start;
-                self.advance(FRAME_OVERHEAD + len);
-                Ok(Some(Record::decode(&payload)?))
+                (start, len4)
+            }
+        };
+        let len = u32::from_le_bytes(len4) as u64;
+        let payload = self
+            .src
+            .bytes_at(start + 4, len as usize, &mut self.buf, tally)?;
+        let mut crc4 = [0u8; 4];
+        self.src.read_at(start + 4 + len, &mut crc4, tally)?;
+        if self.dir == ReadDir::Forward {
+            let mut trail = [0u8; 4];
+            self.src.read_at(start + 8 + len, &mut trail, tally)?;
+            if trail != len4 {
+                return Err(AptError::Frame { at: start });
             }
         }
-    }
-
-    fn check_crc(&self, at: u64, payload: &[u8], stored: [u8; 4]) -> Result<(), AptError> {
-        let expected = u32::from_le_bytes(stored);
-        let found = crc::crc32(payload);
-        if expected != found {
-            return Err(AptError::Checksum {
-                at,
-                expected,
-                found,
-            });
-        }
-        Ok(())
+        check_crc(start, payload, crc4)?;
+        let record = Record::decode(payload);
+        self.pos = match self.dir {
+            ReadDir::Forward => start + FRAME_OVERHEAD + len,
+            ReadDir::Backward => start,
+        };
+        self.advance(FRAME_OVERHEAD + len);
+        record.map(Some)
     }
 
     fn advance(&mut self, framed: u64) {
@@ -1144,6 +1167,19 @@ impl AptReader {
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
+}
+
+fn check_crc(at: u64, payload: &[u8], stored: [u8; 4]) -> Result<(), AptError> {
+    let expected = u32::from_le_bytes(stored);
+    let found = crc::crc32(payload);
+    if expected != found {
+        return Err(AptError::Checksum {
+            at,
+            expected,
+            found,
+        });
+    }
+    Ok(())
 }
 
 /// Validate a finished APT file end to end and return its
@@ -1347,6 +1383,9 @@ impl Drop for TempAptDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linguist_support::intern::Name;
+    use linguist_support::pfunc::PartialFn;
+    use proptest::prelude::*;
 
     fn rec(i: u32) -> Record {
         Record {
@@ -1716,6 +1755,81 @@ mod tests {
         std::fs::remove_file(guarded.join(LOCK_FILE)).unwrap();
         TempAptDir::sweep_stale(Duration::from_secs(3600)).unwrap();
         assert!(!guarded.exists(), "unlocked dead dir survived the sweep");
+    }
+
+    fn arb_value() -> impl Strategy<Value = Value> {
+        // Strings up to 40 bytes straddle the 22-byte inline capacity.
+        let leaf = prop_oneof![
+            any::<i64>().prop_map(Value::Int),
+            any::<bool>().prop_map(Value::Bool),
+            (0u32..1000).prop_map(|n| Value::Sym(Name::from_index(n as usize))),
+            "[a-z ]{0,40}".prop_map(|s| Value::str(&s)),
+        ];
+        leaf.prop_recursive(3, 32, 4, |inner| {
+            prop_oneof![
+                inner.clone(),
+                prop::collection::vec(inner.clone(), 0..4)
+                    .prop_map(|v| Value::List(v.into_iter().collect())),
+                prop::collection::vec(inner.clone(), 0..4)
+                    .prop_map(|v| Value::Set(v.into_iter().collect())),
+                prop::collection::vec((inner.clone(), inner), 0..4).prop_map(|kv| {
+                    let m = kv
+                        .into_iter()
+                        .fold(PartialFn::empty(), |m, (k, v)| m.bind(k, v));
+                    Value::Map(m)
+                }),
+            ]
+        })
+    }
+
+    fn arb_record() -> impl Strategy<Value = Record> {
+        (
+            any::<bool>(),
+            0u32..50,
+            prop::collection::vec((0u32..30, arb_value()), 0..6),
+        )
+            .prop_map(|(is_sym, id, mut values)| {
+                values.sort_by_key(|(a, _)| *a);
+                values.dedup_by_key(|(a, _)| *a);
+                Record {
+                    body: if is_sym {
+                        RecordBody::Sym(SymbolId(id))
+                    } else {
+                        RecordBody::Prod(ProdId(id))
+                    },
+                    values: values.into_iter().map(|(a, v)| (AttrId(a), v)).collect(),
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The memory meter charges `byte_size` for every record on the
+        /// stack, so it must be the exact framed length the writer emits.
+        #[test]
+        fn byte_size_is_the_framed_length(rec in arb_record()) {
+            prop_assert_eq!(rec.byte_size(), rec.encode().len() + FRAME_OVERHEAD as usize);
+            let mut w = AptWriter::create_owned();
+            w.write(&rec).unwrap();
+            let (summary, buf) = w.finish_owned().unwrap();
+            prop_assert_eq!(summary.bytes, rec.byte_size() as u64);
+            let mut r = AptReader::open_shared(Arc::new(buf), ReadDir::Backward).unwrap();
+            prop_assert_eq!(r.next().unwrap(), Some(rec));
+        }
+    }
+
+    #[test]
+    fn empty_record_is_the_smallest_frame() {
+        let rec = Record {
+            body: RecordBody::Sym(SymbolId(3)),
+            values: Vec::new(),
+        };
+        assert_eq!(rec.byte_size() as u64, MIN_FRAMED_RECORD);
+        assert_eq!(
+            rec.encode().len() + FRAME_OVERHEAD as usize,
+            rec.byte_size()
+        );
     }
 
     #[test]

@@ -6,13 +6,19 @@
 //! instead of being decoded as garbage attribute values. CRC-32 detects
 //! all single-bit and single-byte errors and all burst errors up to 32
 //! bits — exactly the failure modes a torn write or flipped disk byte
-//! produces. No external dependency: the table is built at compile time.
+//! produces. No external dependency: the tables are built at compile time.
+//!
+//! The checksum runs over every record written and read, so [`update`]
+//! consumes eight bytes per step (slicing-by-8): `TABLES[k][b]` is the CRC
+//! contribution of byte `b` followed by `k` zero bytes, so eight lookups
+//! fold a whole 64-bit word. The result is the same CRC a bytewise loop
+//! over `TABLES[0]` computes.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -21,13 +27,23 @@ const fn build_table() -> [u32; 256] {
             c = if c & 1 != 0 { (c >> 1) ^ POLY } else { c >> 1 };
             bit += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// CRC-32 of `bytes` (final value, standard init/xor-out).
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -41,9 +57,23 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// checksum is available at [`finish`](crate::aptfile::AptWriter::finish)
 /// time without a second read.
 pub fn update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut c = !crc;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -51,6 +81,31 @@ pub fn update(crc: u32, bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The textbook one-bit-at-a-time CRC-32, independent of the tables.
+    fn bitwise(crc: u32, bytes: &[u8]) -> u32 {
+        let mut c = !crc;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { (c >> 1) ^ POLY } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64*).
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut s = seed | 1;
+        (0..len)
+            .map(|_| {
+                s ^= s >> 12;
+                s ^= s << 25;
+                s ^= s >> 27;
+                (s.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
 
     #[test]
     fn matches_the_standard_check_value() {
@@ -64,6 +119,45 @@ mod tests {
         let whole = crc32(b"hello, world");
         let chained = update(crc32(b"hello, "), b"world");
         assert_eq!(whole, chained);
+        // Every split point of a buffer longer than two words.
+        let buf = noise(7, 40);
+        for cut in 0..=buf.len() {
+            assert_eq!(
+                update(crc32(&buf[..cut]), &buf[cut..]),
+                crc32(&buf),
+                "cut {}",
+                cut
+            );
+        }
+    }
+
+    #[test]
+    fn sliced_matches_bitwise_at_every_length_and_offset() {
+        // Lengths 0..=64 cover every remainder after whole words; the
+        // start offsets 0..8 cover every alignment of the word loads.
+        let buf = noise(1, 64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(update(0, s), bitwise(0, s), "start {} len {}", start, len);
+                assert_eq!(
+                    update(0xDEAD_BEEF, s),
+                    bitwise(0xDEAD_BEEF, s),
+                    "chained, start {} len {}",
+                    start,
+                    len
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_matches_bitwise_on_random_buffers() {
+        for seed in 0..64u64 {
+            let len = (seed as usize * 37) % 1500;
+            let buf = noise(seed + 100, len);
+            assert_eq!(crc32(&buf), bitwise(0, &buf), "seed {} len {}", seed, len);
+        }
     }
 
     #[test]

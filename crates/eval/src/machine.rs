@@ -22,7 +22,7 @@ use crate::aptfile::{
     boundary_path, file_summary, AptError, AptReader, AptWriter, FaultSpec, FaultTarget,
     FileSummary, MemFile, ReadDir, Record, RecordBody, TempAptDir,
 };
-use crate::funcs::{FuncError, Funcs};
+use crate::funcs::{ExternalFn, FuncError, Funcs};
 use crate::manifest::{Manifest, ManifestError, PassEntry};
 use crate::metrics::{EvalMetrics, PassProbe};
 use crate::tree::{PTree, TreeError};
@@ -31,9 +31,11 @@ use linguist_ag::analysis::Analysis;
 use linguist_ag::expr::{BinOp, Expr};
 use linguist_ag::grammar::AttrClass;
 use linguist_ag::ids::{AttrId, AttrOcc, OccPos, ProdId, RuleId, SymbolId};
+use linguist_ag::lifetime::Lifetimes;
 use linguist_ag::passes::Direction;
 use linguist_ag::plan::Step;
 use linguist_ag::subsumption::GroupId;
+use linguist_support::intern::Name;
 use linguist_support::size::Meter;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -524,7 +526,9 @@ fn evaluate_inner(
     let mut machine = Machine {
         analysis,
         funcs,
-        globals: HashMap::new(),
+        fns: Vec::new(),
+        args: Vec::new(),
+        globals: vec![None; analysis.subsumption.num_groups()],
         stats: EvalStats {
             meter: Meter::with_budget(opts.budget),
             resumed_from: resume_boundary,
@@ -616,7 +620,8 @@ fn evaluate_inner(
             let pass_started = Instant::now();
             machine.pass = k;
             machine.depth = 0;
-            machine.globals.clear();
+            machine.globals.fill(None);
+            machine.args.clear();
             machine.rules_this_pass = 0;
             if metrics.is_some() {
                 machine.probe = Some(PassProbe::new());
@@ -710,7 +715,7 @@ fn evaluate_inner(
         if g.attr(a).class == AttrClass::Synthesized {
             let v = root
                 .values
-                .get(&a)
+                .get(a)
                 .ok_or_else(|| EvalError::Missing(format!("root output {}", g.attr_name(a))))?;
             outputs.push((a, v.clone()));
         }
@@ -726,12 +731,58 @@ fn evaluate_inner(
     })
 }
 
+/// A small map kept as a vector sorted by key: the node frames, limb
+/// values and rule locals of the machine each hold a handful of entries,
+/// where a binary search beats hashing and the vector is the record's own
+/// value list, taken over without rebuilding.
+#[derive(Clone, Debug)]
+struct VecMap<K, V>(Vec<(K, V)>);
+
+impl<K: Ord + Copy, V> VecMap<K, V> {
+    fn new() -> VecMap<K, V> {
+        VecMap(Vec::new())
+    }
+
+    /// Take over `entries`. A record's values arrive sorted and unique;
+    /// anything else is normalized as a map would have it, the last
+    /// entry for a key winning.
+    fn from_vec(mut entries: Vec<(K, V)>) -> VecMap<K, V> {
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            entries.reverse();
+            entries.sort_by_key(|e| e.0);
+            entries.dedup_by_key(|e| e.0);
+        }
+        VecMap(entries)
+    }
+
+    fn get(&self, k: K) -> Option<&V> {
+        self.0
+            .binary_search_by_key(&k, |e| e.0)
+            .ok()
+            .map(|i| &self.0[i].1)
+    }
+
+    fn insert(&mut self, k: K, v: V) {
+        match self.0.binary_search_by_key(&k, |e| e.0) {
+            Ok(i) => self.0[i].1 = v,
+            Err(i) => self.0.insert(i, (k, v)),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        self.0.iter().map(|(k, v)| (*k, v))
+    }
+}
+
+/// A node frame: attribute instances by attribute.
+type Frame = VecMap<AttrId, Value>;
+
 /// An APT node held on the stack: its symbol plus every attribute instance
-/// currently materialized.
+/// currently materialized. The frame is the record's sorted value list.
 #[derive(Clone, Debug)]
 struct NodeState {
     sym: SymbolId,
-    values: HashMap<AttrId, Value>,
+    values: Frame,
     charged: usize,
 }
 
@@ -741,7 +792,7 @@ impl NodeState {
         match rec.body {
             RecordBody::Sym(sym) => Ok(NodeState {
                 sym,
-                values: rec.values.into_iter().collect(),
+                values: VecMap::from_vec(rec.values),
                 charged,
             }),
             RecordBody::Prod(p) => Err(EvalError::Corrupt(format!(
@@ -752,10 +803,53 @@ impl NodeState {
     }
 }
 
+/// The instances of `frame` that travel in the boundary-`pass` file: the
+/// attributes of `attrs` alive across it, in ascending order.
+fn alive<'f>(
+    frame: &'f Frame,
+    attrs: &'f [AttrId],
+    lt: &'f Lifetimes,
+    pass: u16,
+) -> impl Iterator<Item = (AttrId, &'f Value)> {
+    frame
+        .iter()
+        .filter(move |(a, _)| attrs.contains(a) && lt.alive_across(*a, pass))
+}
+
+/// What a production procedure's rules can read: its own node, its
+/// children, its limb record and the definitions made so far.
+#[derive(Clone, Copy)]
+struct Scope<'s> {
+    lhs: &'s Frame,
+    children: &'s [Option<NodeState>],
+    limb: &'s Frame,
+    locals: &'s VecMap<AttrOcc, Value>,
+}
+
+impl Scope<'_> {
+    fn get(&self, occ: AttrOcc) -> Option<&Value> {
+        self.locals.get(occ).or_else(|| match occ.pos {
+            OccPos::Lhs => self.lhs.get(occ.attr),
+            OccPos::Rhs(i) => self
+                .children
+                .get(i as usize)
+                .and_then(|c| c.as_ref())
+                .and_then(|c| c.values.get(occ.attr)),
+            OccPos::Limb => self.limb.get(occ.attr),
+        })
+    }
+}
+
 struct Machine<'a> {
     analysis: &'a Analysis,
     funcs: &'a Funcs,
-    globals: HashMap<GroupId, Value>,
+    /// External functions by `Name::index()`, each looked up in `funcs`
+    /// on its first call of this evaluation (`Some(None)`: unregistered).
+    fns: Vec<Option<Option<&'a ExternalFn>>>,
+    /// Argument stack of the calls being evaluated.
+    args: Vec<Value>,
+    /// The global variables, by `GroupId`.
+    globals: Vec<Option<Value>>,
     stats: EvalStats,
     check_globals: bool,
     pass: u16,
@@ -784,26 +878,23 @@ impl<'a> Machine<'a> {
         }
         self.stats.meter.charge(root.charged);
         self.visit(&mut root, reader, writer)?;
-        writer.write(&self.to_record(&root))?;
+        self.write_node(&root, writer)?;
         self.stats.meter.release(root.charged);
         Ok(root)
     }
 
-    fn to_record(&self, state: &NodeState) -> Record {
+    /// Write `node`'s record to the boundary file of this pass.
+    fn write_node(&self, node: &NodeState, writer: &mut AptWriter) -> Result<(), AptError> {
         let g = &self.analysis.grammar;
-        let lt = &self.analysis.lifetimes;
-        let mut values: Vec<(AttrId, Value)> = g
-            .symbol(state.sym)
-            .attrs
-            .iter()
-            .filter(|&&a| lt.alive_across(a, self.pass))
-            .filter_map(|&a| state.values.get(&a).map(|v| (a, v.clone())))
-            .collect();
-        values.sort_by_key(|(a, _)| *a);
-        Record {
-            body: RecordBody::Sym(state.sym),
-            values,
-        }
+        writer.write_values(
+            RecordBody::Sym(node.sym),
+            alive(
+                &node.values,
+                &g.symbol(node.sym).attrs,
+                &self.analysis.lifetimes,
+                self.pass,
+            ),
+        )
     }
 
     fn visit(
@@ -827,8 +918,7 @@ impl<'a> Machine<'a> {
         let (prod, mut limb_vals, prod_charged) = match prod_rec.body {
             RecordBody::Prod(p) => {
                 let charged = prod_rec.byte_size();
-                let vals: HashMap<AttrId, Value> = prod_rec.values.into_iter().collect();
-                (p, vals, charged)
+                (p, VecMap::from_vec(prod_rec.values), charged)
             }
             RecordBody::Sym(s) => {
                 return Err(EvalError::Corrupt(format!(
@@ -848,7 +938,7 @@ impl<'a> Machine<'a> {
 
         let rhs_len = g.production(prod).rhs.len();
         let mut children: Vec<Option<NodeState>> = (0..rhs_len).map(|_| None).collect();
-        let mut locals: HashMap<AttrOcc, Value> = HashMap::new();
+        let mut locals: VecMap<AttrOcc, Value> = VecMap::new();
         let plan = self.analysis.plans.plan(self.pass, prod);
         let mut charged_children = 0usize;
 
@@ -861,7 +951,7 @@ impl<'a> Machine<'a> {
                     if lt.elides(g, want, self.pass - 1) {
                         children[i as usize] = Some(NodeState {
                             sym: want,
-                            values: HashMap::new(),
+                            values: VecMap::new(),
                             charged: 0,
                         });
                         continue;
@@ -884,11 +974,17 @@ impl<'a> Machine<'a> {
                     children[i as usize] = Some(child);
                 }
                 Step::Eval(r) => {
-                    self.eval_rule(r, prod, state, &children, &limb_vals, &mut locals)?;
+                    self.eval_rule(r, &state.values, &children, &limb_vals, &mut locals)?;
                 }
                 Step::Visit(i) => {
                     let saves = if self.check_globals {
-                        self.pre_visit_globals(prod, i, state, &children, &locals)?
+                        let scope = Scope {
+                            lhs: &state.values,
+                            children: &children,
+                            limb: &limb_vals,
+                            locals: &locals,
+                        };
+                        self.pre_visit_globals(prod, i, scope)?
                     } else {
                         Vec::new()
                     };
@@ -898,11 +994,7 @@ impl<'a> Machine<'a> {
                     // This-pass inherited definitions must be visible to
                     // the child's procedure (the paradigm's "eval inherited
                     // attribs of Xi" happens before the visit).
-                    for (occ, v) in &locals {
-                        if occ.pos == OccPos::Rhs(i) {
-                            child.values.insert(occ.attr, v.clone());
-                        }
-                    }
+                    merge_into_child(&mut child, i, &locals);
                     self.visit(&mut child, reader, writer)?;
                     children[i as usize] = Some(child);
                     if self.check_globals {
@@ -920,26 +1012,8 @@ impl<'a> Machine<'a> {
                     }
                     // Merge this frame's definitions for the child into its
                     // record before writing.
-                    for (occ, v) in &locals {
-                        if occ.pos == OccPos::Rhs(i) {
-                            child.values.insert(occ.attr, v.clone());
-                        }
-                    }
-                    let rec = {
-                        let mut values: Vec<(AttrId, Value)> = g
-                            .symbol(child.sym)
-                            .attrs
-                            .iter()
-                            .filter(|&&a| lt.alive_across(a, self.pass))
-                            .filter_map(|&a| child.values.get(&a).map(|v| (a, v.clone())))
-                            .collect();
-                        values.sort_by_key(|(a, _)| *a);
-                        Record {
-                            body: RecordBody::Sym(child.sym),
-                            values,
-                        }
-                    };
-                    writer.write(&rec)?;
+                    merge_into_child(child, i, &locals);
+                    self.write_node(child, writer)?;
                 }
             }
         }
@@ -947,109 +1021,84 @@ impl<'a> Machine<'a> {
         // End zone: merge LHS and limb definitions, run the synthesized
         // global protocol, write the production record. `locals` is dead
         // after this merge, so the values *move* into their destination
-        // maps — no clone, which for list-valued attributes means no
+        // frames — no clone, which for list-valued attributes means no
         // refcount churn on the cons spine.
-        for (occ, v) in locals {
+        for (occ, v) in locals.0 {
             match occ.pos {
-                OccPos::Lhs => {
-                    state.values.insert(occ.attr, v);
-                }
-                OccPos::Limb => {
-                    limb_vals.insert(occ.attr, v);
-                }
+                OccPos::Lhs => state.values.insert(occ.attr, v),
+                OccPos::Limb => limb_vals.insert(occ.attr, v),
                 OccPos::Rhs(_) => {}
             }
         }
         if self.check_globals {
             self.end_globals(prod, state);
         }
-        {
-            let mut values: Vec<(AttrId, Value)> = g
-                .production(prod)
-                .limb
-                .map(|l| {
-                    g.symbol(l)
-                        .attrs
-                        .iter()
-                        .filter(|&&a| lt.alive_across(a, self.pass))
-                        .filter_map(|&a| limb_vals.get(&a).map(|v| (a, v.clone())))
-                        .collect()
-                })
-                .unwrap_or_default();
-            values.sort_by_key(|(a, _)| *a);
-            writer.write(&Record {
-                body: RecordBody::Prod(prod),
-                values,
-            })?;
-        }
+        let limb_attrs = g
+            .production(prod)
+            .limb
+            .map_or(&[][..], |l| &g.symbol(l).attrs[..]);
+        writer.write_values(
+            RecordBody::Prod(prod),
+            alive(&limb_vals, limb_attrs, lt, self.pass),
+        )?;
 
         self.stats.meter.release(charged_children + prod_charged);
         self.depth -= 1;
         Ok(())
     }
 
-    fn resolve(
-        &self,
-        occ: AttrOcc,
-        state: &NodeState,
-        children: &[Option<NodeState>],
-        limb_vals: &HashMap<AttrId, Value>,
-        locals: &HashMap<AttrOcc, Value>,
-    ) -> Result<Value, EvalError> {
-        if let Some(v) = locals.get(&occ) {
-            return Ok(v.clone());
-        }
-        let g = &self.analysis.grammar;
-        let found = match occ.pos {
-            OccPos::Lhs => state.values.get(&occ.attr),
-            OccPos::Rhs(i) => children
-                .get(i as usize)
-                .and_then(|c| c.as_ref())
-                .and_then(|c| c.values.get(&occ.attr)),
-            OccPos::Limb => limb_vals.get(&occ.attr),
-        };
-        found.cloned().ok_or_else(|| {
+    fn resolve(&self, occ: AttrOcc, scope: Scope<'_>) -> Result<Value, EvalError> {
+        scope.get(occ).cloned().ok_or_else(|| {
             EvalError::Missing(format!(
                 "{} at {} (pass {})",
-                g.attr_name(occ.attr),
+                self.analysis.grammar.attr_name(occ.attr),
                 occ.pos,
                 self.pass
             ))
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Evaluate rule `rule` and define its targets in `locals`.
     fn eval_rule(
         &mut self,
         rule: RuleId,
-        _prod: ProdId,
-        state: &NodeState,
+        lhs: &Frame,
         children: &[Option<NodeState>],
-        limb_vals: &HashMap<AttrId, Value>,
-        locals: &mut HashMap<AttrOcc, Value>,
+        limb: &Frame,
+        locals: &mut VecMap<AttrOcc, Value>,
     ) -> Result<(), EvalError> {
         let r = self.analysis.grammar.rule(rule);
         let width = r.targets.len();
-        let vals: Vec<Value> = match &r.expr {
+        let scope = Scope {
+            lhs,
+            children,
+            limb,
+            locals,
+        };
+        match &r.expr {
             Expr::If {
                 branches,
                 otherwise,
             } if width > 1 => {
-                let arm =
-                    self.select_arm(branches, otherwise, state, children, limb_vals, locals)?;
-                let mut out = Vec::with_capacity(width);
+                let arm = self.select_arm(branches, otherwise, scope)?;
+                let mut vals = Vec::with_capacity(width);
                 for e in arm {
-                    out.push(self.eval_expr(e, state, children, limb_vals, locals)?);
+                    vals.push(self.eval_expr(e, scope)?);
                 }
-                out
+                for (t, v) in r.targets.iter().zip(vals) {
+                    locals.insert(*t, v);
+                }
             }
             expr => {
-                let v = self.eval_expr(expr, state, children, limb_vals, locals)?;
-                vec![v; width]
+                let v = self.eval_expr(expr, scope)?;
+                // Only the extra targets of a multi-target rule clone.
+                if let Some((last, rest)) = r.targets.split_last() {
+                    for t in rest {
+                        locals.insert(*t, v.clone());
+                    }
+                    locals.insert(*last, v);
+                }
             }
-        };
-        for (t, v) in r.targets.iter().zip(vals) {
-            locals.insert(*t, v);
         }
         self.rules_this_pass += 1;
         if let Some(probe) = &self.probe {
@@ -1064,13 +1113,10 @@ impl<'a> Machine<'a> {
         &mut self,
         branches: &'e [(Expr, Vec<Expr>)],
         otherwise: &'e [Expr],
-        state: &NodeState,
-        children: &[Option<NodeState>],
-        limb_vals: &HashMap<AttrId, Value>,
-        locals: &HashMap<AttrOcc, Value>,
+        scope: Scope<'_>,
     ) -> Result<&'e [Expr], EvalError> {
         for (cond, arm) in branches {
-            let c = self.eval_expr(cond, state, children, limb_vals, locals)?;
+            let c = self.eval_expr(cond, scope)?;
             match c {
                 Value::Bool(true) => return Ok(arm),
                 Value::Bool(false) => continue,
@@ -1086,52 +1132,63 @@ impl<'a> Machine<'a> {
         Ok(otherwise)
     }
 
-    fn eval_expr(
-        &mut self,
-        expr: &Expr,
-        state: &NodeState,
-        children: &[Option<NodeState>],
-        limb_vals: &HashMap<AttrId, Value>,
-        locals: &HashMap<AttrOcc, Value>,
-    ) -> Result<Value, EvalError> {
+    fn eval_expr(&mut self, expr: &Expr, scope: Scope<'_>) -> Result<Value, EvalError> {
         match expr {
-            Expr::Occ(o) => self.resolve(*o, state, children, limb_vals, locals),
+            Expr::Occ(o) => self.resolve(*o, scope),
             Expr::Int(i) => Ok(Value::Int(*i)),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Str(s) => Ok(Value::str(s)),
             Expr::Const(n) => Ok(Value::Sym(*n)),
             Expr::Call { func, args } => {
-                let mut vals = Vec::with_capacity(args.len());
+                // Arguments go on the machine's argument stack; nested
+                // calls push above them and pop before returning.
+                let base = self.args.len();
                 for a in args {
-                    vals.push(self.eval_expr(a, state, children, limb_vals, locals)?);
+                    let v = self.eval_expr(a, scope)?;
+                    self.args.push(v);
                 }
                 if let Some(probe) = &self.probe {
                     probe
                         .funcs_invoked
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
-                let name = self.analysis.grammar.resolve(*func).to_owned();
-                Ok(self.funcs.call(&name, &vals)?)
+                let f = self.function(*func)?;
+                let out = f(&self.args[base..]);
+                self.args.truncate(base);
+                Ok(out?)
             }
             Expr::Binop { op, lhs, rhs } => {
-                let a = self.eval_expr(lhs, state, children, limb_vals, locals)?;
-                let b = self.eval_expr(rhs, state, children, limb_vals, locals)?;
+                let a = self.eval_expr(lhs, scope)?;
+                let b = self.eval_expr(rhs, scope)?;
                 self.apply_binop(*op, a, b)
             }
             Expr::If {
                 branches,
                 otherwise,
             } => {
-                let arm =
-                    self.select_arm(branches, otherwise, state, children, limb_vals, locals)?;
+                let arm = self.select_arm(branches, otherwise, scope)?;
                 match arm {
-                    [single] => self.eval_expr(single, state, children, limb_vals, locals),
+                    [single] => self.eval_expr(single, scope),
                     _ => Err(EvalError::Corrupt(
                         "multi-expression arm outside a multi-target rule".to_owned(),
                     )),
                 }
             }
         }
+    }
+
+    /// The external function the grammar calls `name`, looked up in the
+    /// registry on the first call of this evaluation and remembered.
+    fn function(&mut self, name: Name) -> Result<&'a ExternalFn, FuncError> {
+        let (funcs, g) = (self.funcs, &self.analysis.grammar);
+        let ix = name.index();
+        if ix >= self.fns.len() {
+            self.fns.resize(ix + 1, None);
+        }
+        let found = *self.fns[ix].get_or_insert_with(|| funcs.get(g.resolve(name)));
+        found.ok_or_else(|| FuncError::Unknown {
+            name: g.resolve(name).to_owned(),
+        })
     }
 
     fn apply_binop(&self, op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
@@ -1169,6 +1226,35 @@ impl<'a> Machine<'a> {
 
     // ---- static-subsumption global protocol ---------------------------
 
+    /// Whether `a` is a static attribute of `class` defined in this pass
+    /// — one the global protocol handles.
+    fn static_now(&self, a: AttrId, class: AttrClass) -> bool {
+        let an = self.analysis;
+        an.grammar.attr(a).class == class
+            && an.passes.pass_of(a) == self.pass
+            && an.subsumption.is_static(a)
+    }
+
+    /// Whether the rule of `prod` defining `occ` is subsumed.
+    fn def_subsumed(&self, prod: ProdId, occ: AttrOcc) -> bool {
+        let g = &self.analysis.grammar;
+        g.production(prod)
+            .rules
+            .iter()
+            .find(|&&r| g.rule(r).targets.contains(&occ))
+            .is_some_and(|&r| self.analysis.subsumption.is_subsumed(r))
+    }
+
+    /// Verify that the global of `a` holds `val`, repairing it if not.
+    fn check_global(&mut self, a: AttrId, val: &Value) {
+        let global = &mut self.globals[self.analysis.subsumption.group_of(a).0 as usize];
+        self.stats.globals_checked += 1;
+        if global.as_ref() != Some(val) {
+            self.stats.globals_repaired += 1;
+            *global = Some(val.clone());
+        }
+    }
+
     /// Before visiting child `i`: install this-pass inherited static
     /// values in the globals. Subsumed copies must already be there
     /// (verified); other definitions save the old value and set the new
@@ -1177,38 +1263,22 @@ impl<'a> Machine<'a> {
         &mut self,
         prod: ProdId,
         i: u16,
-        state: &NodeState,
-        children: &[Option<NodeState>],
-        locals: &HashMap<AttrOcc, Value>,
+        scope: Scope<'_>,
     ) -> Result<Vec<(GroupId, Option<Value>)>, EvalError> {
-        let g = &self.analysis.grammar;
-        let sub = &self.analysis.subsumption;
-        let child_sym = g.production(prod).rhs[i as usize];
+        let an = self.analysis;
+        let child_sym = an.grammar.production(prod).rhs[i as usize];
         let mut saves = Vec::new();
-        for &a in &g.symbol(child_sym).attrs {
-            if g.attr(a).class != AttrClass::Inherited
-                || self.analysis.passes.pass_of(a) != self.pass
-                || !sub.is_static(a)
-            {
+        for &a in &an.grammar.symbol(child_sym).attrs {
+            if !self.static_now(a, AttrClass::Inherited) {
                 continue;
             }
             let occ = AttrOcc::rhs(i, a);
-            let val = self.resolve(occ, state, children, &HashMap::new(), locals)?;
-            let group = sub.group_of(a);
-            let def_subsumed = g
-                .production(prod)
-                .rules
-                .iter()
-                .find(|&&r| g.rule(r).targets.contains(&occ))
-                .is_some_and(|&r| sub.is_subsumed(r));
-            if def_subsumed {
-                self.stats.globals_checked += 1;
-                if self.globals.get(&group) != Some(&val) {
-                    self.stats.globals_repaired += 1;
-                    self.globals.insert(group, val);
-                }
+            let val = self.resolve(occ, scope)?;
+            if self.def_subsumed(prod, occ) {
+                self.check_global(a, &val);
             } else {
-                saves.push((group, self.globals.insert(group, val)));
+                let group = an.subsumption.group_of(a);
+                saves.push((group, self.globals[group.0 as usize].replace(val)));
             }
         }
         Ok(saves)
@@ -1224,31 +1294,19 @@ impl<'a> Machine<'a> {
         saves: Vec<(GroupId, Option<Value>)>,
     ) {
         let g = &self.analysis.grammar;
-        let sub = &self.analysis.subsumption;
         let child_sym = g.production(prod).rhs[i as usize];
         if let Some(child) = children[i as usize].as_ref() {
             for &a in &g.symbol(child_sym).attrs {
-                if g.attr(a).class != AttrClass::Synthesized
-                    || self.analysis.passes.pass_of(a) != self.pass
-                    || !sub.is_static(a)
-                {
+                if !self.static_now(a, AttrClass::Synthesized) {
                     continue;
                 }
-                if let Some(val) = child.values.get(&a) {
-                    let group = sub.group_of(a);
-                    self.stats.globals_checked += 1;
-                    if self.globals.get(&group) != Some(val) {
-                        self.stats.globals_repaired += 1;
-                        self.globals.insert(group, val.clone());
-                    }
+                if let Some(val) = child.values.get(a) {
+                    self.check_global(a, val);
                 }
             }
         }
         for (group, old) in saves.into_iter().rev() {
-            match old {
-                Some(v) => self.globals.insert(group, v),
-                None => self.globals.remove(&group),
-            };
+            self.globals[group.0 as usize] = old;
         }
     }
 
@@ -1256,35 +1314,28 @@ impl<'a> Machine<'a> {
     /// values in the globals for the parent. A subsumed upward copy means
     /// the value should already be there (verified).
     fn end_globals(&mut self, prod: ProdId, state: &NodeState) {
-        let g = &self.analysis.grammar;
-        let sub = &self.analysis.subsumption;
-        for &a in &g.symbol(state.sym).attrs {
-            if g.attr(a).class != AttrClass::Synthesized
-                || self.analysis.passes.pass_of(a) != self.pass
-                || !sub.is_static(a)
-            {
+        let an = self.analysis;
+        for &a in &an.grammar.symbol(state.sym).attrs {
+            if !self.static_now(a, AttrClass::Synthesized) {
                 continue;
             }
-            let Some(val) = state.values.get(&a) else {
+            let Some(val) = state.values.get(a) else {
                 continue;
             };
-            let group = sub.group_of(a);
-            let occ = AttrOcc::lhs(a);
-            let def_subsumed = g
-                .production(prod)
-                .rules
-                .iter()
-                .find(|&&r| g.rule(r).targets.contains(&occ))
-                .is_some_and(|&r| sub.is_subsumed(r));
-            if def_subsumed {
-                self.stats.globals_checked += 1;
-                if self.globals.get(&group) != Some(val) {
-                    self.stats.globals_repaired += 1;
-                    self.globals.insert(group, val.clone());
-                }
+            if self.def_subsumed(prod, AttrOcc::lhs(a)) {
+                self.check_global(a, val);
             } else {
-                self.globals.insert(group, val.clone());
+                self.globals[an.subsumption.group_of(a).0 as usize] = Some(val.clone());
             }
+        }
+    }
+}
+
+/// Copy the definitions `locals` holds for child `i` into its frame.
+fn merge_into_child(child: &mut NodeState, i: u16, locals: &VecMap<AttrOcc, Value>) {
+    for (occ, v) in locals.iter() {
+        if occ.pos == OccPos::Rhs(i) {
+            child.values.insert(occ.attr, v.clone());
         }
     }
 }

@@ -209,28 +209,18 @@ impl Value {
             }
             Value::List(l) => {
                 out.push(4);
-                let items: Vec<&Value> = l.iter().collect();
-                out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-                for v in items {
-                    v.encode(out);
-                }
+                encode_counted(out, l.iter(), |out, v| v.encode(out));
             }
             Value::Set(s) => {
                 out.push(5);
-                let items: Vec<&Value> = s.iter().collect();
-                out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-                for v in items {
-                    v.encode(out);
-                }
+                encode_counted(out, s.iter(), |out, v| v.encode(out));
             }
             Value::Map(m) => {
                 out.push(6);
-                let items: Vec<(&Value, &Value)> = m.iter().map(|(k, v)| (k, v)).collect();
-                out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-                for (k, v) in items {
+                encode_counted(out, m.iter(), |out, (k, v)| {
                     k.encode(out);
                     v.encode(out);
-                }
+                });
             }
         }
     }
@@ -308,6 +298,23 @@ impl Value {
             _ => Err(DecodeError { at: *pos - 1 }),
         }
     }
+}
+
+/// Append a `u32` item count followed by each item. The count is patched
+/// in after the items, so they are walked once and nothing is collected.
+fn encode_counted<T>(
+    out: &mut Vec<u8>,
+    items: impl Iterator<Item = T>,
+    mut encode: impl FnMut(&mut Vec<u8>, T),
+) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let mut n = 0u32;
+    for item in items {
+        encode(out, item);
+        n += 1;
+    }
+    out[at..at + 4].copy_from_slice(&n.to_le_bytes());
 }
 
 impl PartialEq for Value {

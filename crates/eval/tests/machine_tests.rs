@@ -7,8 +7,8 @@ use linguist_ag::expr::{BinOp, Expr};
 use linguist_ag::grammar::{AgBuilder, Grammar};
 use linguist_ag::ids::{AttrOcc, ProdId};
 use linguist_ag::passes::{Direction, PassConfig};
-use linguist_eval::funcs::Funcs;
-use linguist_eval::machine::{evaluate, EvalOptions, Strategy};
+use linguist_eval::funcs::{FuncError, Funcs};
+use linguist_eval::machine::{evaluate, EvalError, EvalOptions, Strategy};
 use linguist_eval::tree::PTree;
 use linguist_eval::value::Value;
 
@@ -628,4 +628,104 @@ fn memory_backing_agrees_with_disk() {
         mem.stats.total_io_bytes(),
         "identical record traffic either way"
     );
+}
+
+/// S -> x with S.V = `func`(x.OBJ): one external call per evaluation.
+fn call_grammar(func: &str) -> Analysis {
+    let mut b = AgBuilder::new();
+    let s = b.nonterminal("S");
+    let v = b.synthesized(s, "V", "any");
+    let x = b.terminal("x");
+    let obj = b.intrinsic(x, "OBJ", "int");
+    let f = b.name(func);
+    let p0 = b.production(s, vec![x], None);
+    b.rule(
+        p0,
+        vec![AttrOcc::lhs(v)],
+        Expr::Call {
+            func: f,
+            args: vec![Expr::Occ(AttrOcc::rhs(0, obj))],
+        },
+    );
+    b.start(s);
+    Analysis::run(b.build().unwrap(), &config(Direction::RightToLeft)).unwrap()
+}
+
+fn call_tree(analysis: &Analysis, n: i64) -> PTree {
+    let g = &analysis.grammar;
+    let x = g.symbol_by_name("x").unwrap();
+    let obj = g.attr_by_name(x, "OBJ").unwrap();
+    PTree::node(ProdId(0), vec![PTree::leaf(x, vec![(obj, Value::Int(n))])])
+}
+
+#[test]
+fn function_names_resolve_case_insensitively() {
+    // The registry stores `UnionSetof` lowercased; the grammar's own
+    // spellings must still find it.
+    let mut b = AgBuilder::new();
+    let s = b.nonterminal("S");
+    let v = b.synthesized(s, "V", "set");
+    let x = b.terminal("x");
+    let obj = b.intrinsic(x, "OBJ", "int");
+    let union = b.name("UnionSetof");
+    let shouted = b.name("UNIONSETOF");
+    let empty = b.name("emptyset");
+    let p0 = b.production(s, vec![x], None);
+    let call = |func, args| Expr::Call { func, args };
+    b.rule(
+        p0,
+        vec![AttrOcc::lhs(v)],
+        call(
+            union,
+            vec![
+                Expr::Int(7),
+                call(
+                    shouted,
+                    vec![Expr::Occ(AttrOcc::rhs(0, obj)), call(empty, vec![])],
+                ),
+            ],
+        ),
+    );
+    b.start(s);
+    let analysis = Analysis::run(b.build().unwrap(), &config(Direction::RightToLeft)).unwrap();
+    let r = evaluate(
+        &analysis,
+        &Funcs::standard(),
+        &call_tree(&analysis, 3),
+        &options(Strategy::BottomUp),
+    )
+    .unwrap();
+    let want: Value = Value::Set([Value::Int(3), Value::Int(7)].into_iter().collect());
+    assert_eq!(r.output(&analysis, "V"), Some(&want));
+}
+
+#[test]
+fn unknown_function_reports_the_grammar_spelling() {
+    let analysis = call_grammar("NoSuchFn");
+    let err = evaluate(
+        &analysis,
+        &Funcs::standard(),
+        &call_tree(&analysis, 1),
+        &options(Strategy::BottomUp),
+    )
+    .unwrap_err();
+    match err {
+        EvalError::Func(FuncError::Unknown { name }) => assert_eq!(name, "NoSuchFn"),
+        other => panic!("expected FuncError::Unknown, got {:?}", other),
+    }
+}
+
+#[test]
+fn function_lookups_are_cached_per_evaluation_only() {
+    // Replacing a registration between two evaluations must reach the
+    // second one: nothing outlives the evaluation that resolved it.
+    let analysis = call_grammar("Probe");
+    let tree = call_tree(&analysis, 5);
+    let mut funcs = Funcs::standard();
+    funcs.register("probe", |args| Ok(args[0].clone()));
+    let first = evaluate(&analysis, &funcs, &tree, &options(Strategy::BottomUp)).unwrap();
+    assert_eq!(first.output(&analysis, "V"), Some(&Value::Int(5)));
+    funcs.register("Probe", |_| Ok(Value::str("replaced")));
+    let second = evaluate(&analysis, &funcs, &tree, &options(Strategy::BottomUp)).unwrap();
+    assert_eq!(second.output(&analysis, "V"), Some(&Value::str("replaced")));
 }

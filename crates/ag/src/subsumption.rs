@@ -25,7 +25,7 @@
 //! [`GroupMode::CoalesceCopies`] and drives the E13 ablation.
 
 use crate::grammar::{AttrClass, Grammar};
-use crate::ids::{AttrId, RuleId};
+use crate::ids::{AttrId, AttrOcc, ProdId, RuleId};
 use crate::passes::PassAssignment;
 use linguist_support::intern::Name;
 use std::collections::HashMap;
@@ -68,6 +68,36 @@ pub enum GroupMode {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u32);
 
+/// Where in a production procedure one step of the global protocol runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SiteAt {
+    /// Before the visit to child `i`: install an inherited value of the
+    /// child in its global.
+    BeforeVisit(u16),
+    /// After the visit to child `i`: a synthesized value of the child must
+    /// have arrived in its global.
+    AfterVisit(u16),
+    /// At the end of the procedure: leave a synthesized value of the
+    /// left-hand side in its global for the parent.
+    End,
+}
+
+/// One step of the global-variable protocol: a static attribute defined in
+/// the current pass, at one place in one production procedure.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProtocolSite {
+    /// Where the step runs.
+    pub at: SiteAt,
+    /// The attribute.
+    pub attr: AttrId,
+    /// Its global variable.
+    pub group: GroupId,
+    /// Whether the production's rule defining the instance is subsumed, so
+    /// its value must already be in the global. Always false after a visit,
+    /// where the production defines nothing.
+    pub subsumed: bool,
+}
+
 /// The computed static-subsumption allocation.
 #[derive(Clone, Debug)]
 pub struct Subsumption {
@@ -82,6 +112,11 @@ pub struct Subsumption {
     subsumed: Vec<bool>,
     /// Costs used.
     costs: SubsumptionCosts,
+    /// The protocol sites of every (pass, production), flattened: row
+    /// `(k - 1) × productions + p` is `sites[site_at[row]..site_at[row + 1]]`.
+    sites: Vec<ProtocolSite>,
+    site_at: Vec<u32>,
+    productions: usize,
 }
 
 /// Aggregate statistics for the experiment tables.
@@ -185,12 +220,21 @@ impl Subsumption {
             })
             .collect();
 
+        let (sites, site_at) = match passes {
+            Some(passes) => {
+                protocol_table(g, &is_static, &group_assign.group_of, &subsumed, passes)
+            }
+            None => (Vec::new(), Vec::new()),
+        };
         Subsumption {
             is_static,
             group_of: group_assign.group_of,
             group_names: group_assign.group_names,
             subsumed,
             costs,
+            sites,
+            site_at,
+            productions: g.productions().len(),
         }
     }
 
@@ -205,6 +249,9 @@ impl Subsumption {
             group_names: assign.group_names,
             subsumed: vec![false; g.rules().len()],
             costs: SubsumptionCosts::default(),
+            sites: Vec::new(),
+            site_at: Vec::new(),
+            productions: g.productions().len(),
         }
     }
 
@@ -232,6 +279,22 @@ impl Subsumption {
     /// Whether rule `r` is subsumed (generates no code).
     pub fn is_subsumed(&self, r: RuleId) -> bool {
         self.subsumed[r.0 as usize]
+    }
+
+    /// The global-protocol steps of production `p` in pass `k` (1-based),
+    /// in procedure order for each place: the evaluation machine's work
+    /// list, built once with the allocation. Empty for a pass outside the
+    /// pass assignment the allocation was computed with, and always empty
+    /// when it was computed without one.
+    pub fn protocol(&self, k: u16, p: ProdId) -> &[ProtocolSite] {
+        let Some(row) = (k as usize).checked_sub(1) else {
+            return &[];
+        };
+        let row = row * self.productions + p.0 as usize;
+        match (self.site_at.get(row), self.site_at.get(row + 1)) {
+            (Some(&from), Some(&to)) => &self.sites[from as usize..to as usize],
+            _ => &[],
+        }
     }
 
     /// The cost model used.
@@ -370,6 +433,76 @@ fn assign_groups(g: &Grammar, mode: GroupMode) -> GroupAssign {
     }
 }
 
+/// The protocol sites of every (pass, production), flattened in that order,
+/// with the row offsets. A production procedure touches a global for each
+/// static attribute of a child or of its left-hand side that is defined in
+/// the pass: inherited ones of a child before its visit, synthesized ones
+/// of a child after it, and synthesized ones of the left-hand side at the
+/// end.
+fn protocol_table(
+    g: &Grammar,
+    is_static: &[bool],
+    group_of: &[GroupId],
+    subsumed: &[bool],
+    passes: &PassAssignment,
+) -> (Vec<ProtocolSite>, Vec<u32>) {
+    let prods = g.productions().len();
+    let mut rows: Vec<Vec<ProtocolSite>> = vec![Vec::new(); passes.num_passes() * prods];
+    for (pi, p) in g.productions().iter().enumerate() {
+        let defined_by_subsumed = |occ: AttrOcc| {
+            p.rules
+                .iter()
+                .find(|&&r| g.rule(r).targets.contains(&occ))
+                .is_some_and(|&r| subsumed[r.0 as usize])
+        };
+        let mut add = |at: SiteAt, attr: AttrId, subsumed: bool| {
+            let k = passes.pass_of(attr) as usize;
+            if let Some(row) = k.checked_sub(1).and_then(|k| rows.get_mut(k * prods + pi)) {
+                row.push(ProtocolSite {
+                    at,
+                    attr,
+                    group: group_of[attr.0 as usize],
+                    subsumed,
+                });
+            }
+        };
+        let statics = |sym| {
+            g.symbol(sym)
+                .attrs
+                .iter()
+                .copied()
+                .filter(|a| is_static[a.0 as usize])
+        };
+        for (i, &sym) in p.rhs.iter().enumerate() {
+            let i = i as u16;
+            for a in statics(sym) {
+                match g.attr(a).class {
+                    AttrClass::Inherited => add(
+                        SiteAt::BeforeVisit(i),
+                        a,
+                        defined_by_subsumed(AttrOcc::rhs(i, a)),
+                    ),
+                    AttrClass::Synthesized => add(SiteAt::AfterVisit(i), a, false),
+                    _ => {}
+                }
+            }
+        }
+        for a in statics(p.lhs) {
+            if g.attr(a).class == AttrClass::Synthesized {
+                add(SiteAt::End, a, defined_by_subsumed(AttrOcc::lhs(a)));
+            }
+        }
+    }
+    let mut site_at = Vec::with_capacity(rows.len() + 1);
+    site_at.push(0);
+    let mut sites = Vec::new();
+    for row in rows {
+        sites.extend(row);
+        site_at.push(sites.len() as u32);
+    }
+    (sites, site_at)
+}
+
 /// Count, over all rules defining any member of group `gr`, how many are
 /// subsumable copy-rules and how many are "other" definitions (which pay
 /// save/restore while the group is static).
@@ -486,6 +619,59 @@ mod tests {
         assert!(stats.subsumed_rules >= 1, "ENV copy subsumed: {:?}", stats);
         // The ENV copy-rule (rule index 2) must be subsumed.
         assert!(sub.is_subsumed(RuleId(2)));
+    }
+
+    #[test]
+    fn protocol_table_lists_each_procedures_sites() {
+        use crate::passes::{assign_passes, PassConfig};
+        let g = copy_chain();
+        let passes = assign_passes(&g, &PassConfig::default()).unwrap();
+        assert_eq!(passes.num_passes(), 1);
+        let costs = SubsumptionCosts {
+            copy: 20,
+            save_restore: 10,
+        };
+        let sub = Subsumption::compute(&g, GroupMode::SameName, costs, Some(&passes));
+        let (root, s) = (
+            g.symbol_by_name("root").unwrap(),
+            g.symbol_by_name("S").unwrap(),
+        );
+        let root_val = g.attr_by_name(root, "VAL").unwrap();
+        let (val, env) = (
+            g.attr_by_name(s, "VAL").unwrap(),
+            g.attr_by_name(s, "ENV").unwrap(),
+        );
+        let site = |at, attr, subsumed| ProtocolSite {
+            at,
+            attr,
+            group: sub.group_of(attr),
+            subsumed,
+        };
+        // root -> S: ENV seeded (saved and set), VAL copied up (subsumed).
+        assert_eq!(
+            sub.protocol(1, ProdId(0)),
+            [
+                site(SiteAt::AfterVisit(0), val, false),
+                site(SiteAt::BeforeVisit(0), env, false),
+                site(SiteAt::End, root_val, true),
+            ]
+        );
+        // S -> S x: both copies subsumed; x has no static attribute.
+        assert_eq!(
+            sub.protocol(1, ProdId(1)),
+            [
+                site(SiteAt::AfterVisit(0), val, false),
+                site(SiteAt::BeforeVisit(0), env, true),
+                site(SiteAt::End, val, true),
+            ]
+        );
+        // S -> x: VAL computed, not copied.
+        assert_eq!(sub.protocol(1, ProdId(2)), [site(SiteAt::End, val, false)]);
+        assert!(sub.protocol(0, ProdId(0)).is_empty());
+        assert!(sub.protocol(2, ProdId(0)).is_empty());
+        let without_passes = Subsumption::compute(&g, GroupMode::SameName, costs, None);
+        assert!(without_passes.protocol(1, ProdId(0)).is_empty());
+        assert!(Subsumption::disabled(&g).protocol(1, ProdId(0)).is_empty());
     }
 
     #[test]

@@ -30,7 +30,6 @@
 //! [`evaluate_resumable`](crate::machine::evaluate_resumable)).
 
 use crate::crc;
-use crate::metrics::IoCounters;
 use crate::value::{DecodeError, Value};
 use linguist_ag::ids::{AttrId, ProdId, SymbolId};
 use std::fmt;
@@ -518,7 +517,6 @@ pub struct AptWriter {
     records: u64,
     crc: u32,
     sync: bool,
-    profile: Option<Arc<IoCounters>>,
     fault: Option<FaultSpec>,
     lock_tally: Option<Arc<AtomicU64>>,
     /// Frame buffer reused by every record for the file and
@@ -546,7 +544,6 @@ impl AptWriter {
             records: 0,
             crc: 0,
             sync: false,
-            profile: None,
             fault: None,
             lock_tally: None,
             scratch: Vec::new(),
@@ -599,12 +596,6 @@ impl AptWriter {
     /// it — which is exactly what the zero-lock hot-path tests assert.
     pub fn set_lock_tally(&mut self, tally: Arc<AtomicU64>) {
         self.lock_tally = Some(tally);
-    }
-
-    /// Attach a profiling counter pair; every subsequent [`write`](Self::write)
-    /// bumps it atomically.
-    pub fn set_profile(&mut self, counters: Arc<IoCounters>) {
-        self.profile = Some(counters);
     }
 
     /// Attach an injected fault (test support): writes crossing
@@ -693,9 +684,6 @@ impl AptWriter {
         let framed = len as u64 + FRAME_OVERHEAD;
         self.bytes += framed;
         self.records += 1;
-        if let Some(p) = &self.profile {
-            p.add_record(framed);
-        }
         Ok(())
     }
 
@@ -814,7 +802,6 @@ pub struct AptReader {
     records: u64,
     total_records: u64,
     total_bytes: u64,
-    profile: Option<Arc<IoCounters>>,
     fault: Option<FaultSpec>,
     lock_tally: Option<Arc<AtomicU64>>,
     /// Payload buffer reused by every record for the file and
@@ -952,7 +939,6 @@ impl AptReader {
             records: 0,
             total_records,
             total_bytes,
-            profile: None,
             fault: None,
             lock_tally: None,
             buf: Vec::new(),
@@ -1041,12 +1027,6 @@ impl AptReader {
     /// sealed-shared sources never touch it.
     pub fn set_lock_tally(&mut self, tally: Arc<AtomicU64>) {
         self.lock_tally = Some(tally);
-    }
-
-    /// Attach a profiling counter pair; every subsequent [`next`](Self::next)
-    /// bumps it atomically.
-    pub fn set_profile(&mut self, counters: Arc<IoCounters>) {
-        self.profile = Some(counters);
     }
 
     /// Attach an injected fault (test support): reads crossing
@@ -1143,9 +1123,6 @@ impl AptReader {
     fn advance(&mut self, framed: u64) {
         self.bytes += framed;
         self.records += 1;
-        if let Some(p) = &self.profile {
-            p.add_record(framed);
-        }
     }
 
     /// Bytes consumed so far.
@@ -1691,28 +1668,6 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         let corrupt = file_summary(&path).unwrap();
         assert_ne!(corrupt.crc, written.crc);
-    }
-
-    #[test]
-    fn profile_counters_match_internal_tallies() {
-        use crate::metrics::IoCounters;
-        let dir = TempAptDir::new().unwrap();
-        let path = dir.boundary(13);
-        let wc = IoCounters::shared();
-        let mut w = AptWriter::create(&path).unwrap();
-        w.set_profile(wc.clone());
-        for i in 0..6 {
-            w.write(&rec(i)).unwrap();
-        }
-        let (bytes, records) = w.finish().unwrap();
-        assert_eq!(wc.snapshot(), (records, bytes));
-
-        let rc = IoCounters::shared();
-        let mut r = AptReader::open(&path, ReadDir::Backward).unwrap();
-        r.set_profile(rc.clone());
-        while r.next().unwrap().is_some() {}
-        assert_eq!(rc.snapshot(), (r.records_read(), r.bytes_read()));
-        assert_eq!(rc.snapshot(), (records, bytes));
     }
 
     #[test]

@@ -81,6 +81,6 @@ pub use machine::{
     PassStats, RetryPolicy, Strategy,
 };
 pub use manifest::{Manifest, ManifestError, PassEntry};
-pub use metrics::{EvalMetrics, IoCounters, PassIo, PassProbe};
+pub use metrics::{EvalMetrics, PassIo, PassProbe};
 pub use tree::{PTree, TreeError};
 pub use value::Value;

@@ -34,7 +34,7 @@ use linguist_ag::ids::{AttrId, AttrOcc, OccPos, ProdId, RuleId, SymbolId};
 use linguist_ag::lifetime::Lifetimes;
 use linguist_ag::passes::Direction;
 use linguist_ag::plan::Step;
-use linguist_ag::subsumption::GroupId;
+use linguist_ag::subsumption::{GroupId, SiteAt};
 use linguist_support::intern::Name;
 use linguist_support::size::Meter;
 use std::cell::RefCell;
@@ -95,8 +95,10 @@ pub struct EvalOptions {
     /// Disk files (default, as in the paper) or RAM buffers.
     pub backing: Backing,
     /// Collect the pass-level [`EvalMetrics`] profile (per-pass file
-    /// traffic, attribute and semantic-function work). Off by default:
-    /// the unprofiled hot path pays only an untaken `Option` branch.
+    /// traffic, attribute and semantic-function work). Off by default.
+    /// The counters behind it are kept either way (plain adds, and the
+    /// file layer's own tallies), so this only decides whether the rows
+    /// are assembled.
     pub profile: bool,
     /// Inject an I/O failure (test support); see [`FaultSpec`].
     pub fault: Option<FaultSpec>,
@@ -523,23 +525,16 @@ fn evaluate_inner(
     let start_pass = resume_boundary.map_or(1, |b| b + 1);
 
     let mut metrics = opts.profile.then(EvalMetrics::default);
-    let mut machine = Machine {
+    let mut machine = Machine::new(
         analysis,
         funcs,
-        fns: Vec::new(),
-        args: Vec::new(),
-        globals: vec![None; analysis.subsumption.num_groups()],
-        stats: EvalStats {
+        opts.check_globals,
+        EvalStats {
             meter: Meter::with_budget(opts.budget),
             resumed_from: resume_boundary,
             ..EvalStats::default()
         },
-        check_globals: opts.check_globals,
-        pass: 0,
-        depth: 0,
-        rules_this_pass: 0,
-        probe: None,
-    };
+    );
     let check_deadline = || -> Result<(), EvalError> {
         match opts.deadline {
             Some(limit) if started.elapsed() >= limit => Err(EvalError::Deadline { limit }),
@@ -621,21 +616,16 @@ fn evaluate_inner(
             machine.pass = k;
             machine.depth = 0;
             machine.globals.fill(None);
+            machine.saves.clear();
             machine.args.clear();
             machine.rules_this_pass = 0;
-            if metrics.is_some() {
-                machine.probe = Some(PassProbe::new());
-            }
+            machine.probe = PassProbe::default();
             let mem_before = machine.stats.meter.current();
             let result = (|| -> Result<(NodeState, u64, u64, FileSummary), EvalError> {
                 let mut reader = store.reader(k - 1, read_dir)?;
                 let mut writer = store.writer(k)?;
                 if checkpoint.is_some() {
                     writer.set_sync(true);
-                }
-                if let Some(probe) = &machine.probe {
-                    reader.set_profile(probe.read.clone());
-                    writer.set_profile(probe.written.clone());
                 }
                 if let Some(f) = &opts.fault {
                     if f.pass == k {
@@ -677,22 +667,21 @@ fn evaluate_inner(
                     // (peak stays — that memory really was used).
                     let leaked = machine.stats.meter.current().saturating_sub(mem_before);
                     machine.stats.meter.release(leaked);
-                    machine.probe = None;
                     std::thread::sleep(opts.retry.delay(attempt));
                     attempt += 1;
                 }
             }
         };
+        if let Some(m) = &mut metrics {
+            m.passes
+                .push(machine.probe.finish(k, read_dir, &pass_stats));
+        }
         machine.stats.passes.push(pass_stats);
         // Pass-boundary heartbeat: keep the scratch dir's lock fresh so
         // a sweeping daemon in another process never reaps a long
         // evaluation's intermediates mid-run.
         if let Store::Disk(dir) = &store {
             dir.refresh_lock();
-        }
-        if let (Some(m), Some(probe)) = (&mut metrics, machine.probe.take()) {
-            m.passes
-                .push(probe.finish(k, read_dir, machine.rules_this_pass));
         }
         if let (Some(m), Some(dir)) = (&mut manifest, checkpoint) {
             m.record(PassEntry {
@@ -850,15 +839,39 @@ struct Machine<'a> {
     args: Vec<Value>,
     /// The global variables, by `GroupId`.
     globals: Vec<Option<Value>>,
+    /// Globals saved around the child visits in progress, innermost last.
+    saves: Vec<(GroupId, Option<Value>)>,
     stats: EvalStats,
     check_globals: bool,
     pass: u16,
     depth: usize,
     rules_this_pass: u64,
-    probe: Option<PassProbe>,
+    probe: PassProbe,
 }
 
 impl<'a> Machine<'a> {
+    fn new(
+        analysis: &'a Analysis,
+        funcs: &'a Funcs,
+        check_globals: bool,
+        stats: EvalStats,
+    ) -> Machine<'a> {
+        Machine {
+            analysis,
+            funcs,
+            fns: Vec::new(),
+            args: Vec::new(),
+            globals: vec![None; analysis.subsumption.num_groups()],
+            saves: Vec::new(),
+            stats,
+            check_globals,
+            pass: 0,
+            depth: 0,
+            rules_this_pass: 0,
+            probe: PassProbe::default(),
+        }
+    }
+
     fn run_pass(
         &mut self,
         reader: &mut AptReader,
@@ -977,17 +990,16 @@ impl<'a> Machine<'a> {
                     self.eval_rule(r, &state.values, &children, &limb_vals, &mut locals)?;
                 }
                 Step::Visit(i) => {
-                    let saves = if self.check_globals {
+                    let saved = self.saves.len();
+                    if self.check_globals {
                         let scope = Scope {
                             lhs: &state.values,
                             children: &children,
                             limb: &limb_vals,
                             locals: &locals,
                         };
-                        self.pre_visit_globals(prod, i, scope)?
-                    } else {
-                        Vec::new()
-                    };
+                        self.pre_visit_globals(prod, i, scope)?;
+                    }
                     let mut child = children[i as usize]
                         .take()
                         .ok_or_else(|| EvalError::Missing(format!("child {} state", i)))?;
@@ -998,7 +1010,7 @@ impl<'a> Machine<'a> {
                     self.visit(&mut child, reader, writer)?;
                     children[i as usize] = Some(child);
                     if self.check_globals {
-                        self.post_visit_globals(prod, i, &children, saves);
+                        self.post_visit_globals(prod, i, &children, saved);
                     }
                 }
                 Step::Put(i) => {
@@ -1101,11 +1113,7 @@ impl<'a> Machine<'a> {
             }
         }
         self.rules_this_pass += 1;
-        if let Some(probe) = &self.probe {
-            probe
-                .attrs_evaluated
-                .fetch_add(width as u64, std::sync::atomic::Ordering::Relaxed);
-        }
+        self.probe.attrs_evaluated += width as u64;
         Ok(())
     }
 
@@ -1147,11 +1155,7 @@ impl<'a> Machine<'a> {
                     let v = self.eval_expr(a, scope)?;
                     self.args.push(v);
                 }
-                if let Some(probe) = &self.probe {
-                    probe
-                        .funcs_invoked
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
+                self.probe.funcs_invoked += 1;
                 let f = self.function(*func)?;
                 let out = f(&self.args[base..]);
                 self.args.truncate(base);
@@ -1225,29 +1229,14 @@ impl<'a> Machine<'a> {
     }
 
     // ---- static-subsumption global protocol ---------------------------
+    //
+    // Which static attributes a procedure touches, where, and whether
+    // their definition is subsumed comes from the allocation's
+    // per-(pass, production) table, built once per analysis.
 
-    /// Whether `a` is a static attribute of `class` defined in this pass
-    /// — one the global protocol handles.
-    fn static_now(&self, a: AttrId, class: AttrClass) -> bool {
-        let an = self.analysis;
-        an.grammar.attr(a).class == class
-            && an.passes.pass_of(a) == self.pass
-            && an.subsumption.is_static(a)
-    }
-
-    /// Whether the rule of `prod` defining `occ` is subsumed.
-    fn def_subsumed(&self, prod: ProdId, occ: AttrOcc) -> bool {
-        let g = &self.analysis.grammar;
-        g.production(prod)
-            .rules
-            .iter()
-            .find(|&&r| g.rule(r).targets.contains(&occ))
-            .is_some_and(|&r| self.analysis.subsumption.is_subsumed(r))
-    }
-
-    /// Verify that the global of `a` holds `val`, repairing it if not.
-    fn check_global(&mut self, a: AttrId, val: &Value) {
-        let global = &mut self.globals[self.analysis.subsumption.group_of(a).0 as usize];
+    /// Verify that global `group` holds `val`, repairing it if not.
+    fn check_global(&mut self, group: GroupId, val: &Value) {
+        let global = &mut self.globals[group.0 as usize];
         self.stats.globals_checked += 1;
         if global.as_ref() != Some(val) {
             self.stats.globals_repaired += 1;
@@ -1257,55 +1246,52 @@ impl<'a> Machine<'a> {
 
     /// Before visiting child `i`: install this-pass inherited static
     /// values in the globals. Subsumed copies must already be there
-    /// (verified); other definitions save the old value and set the new
-    /// one.
+    /// (verified); other definitions save the old value on the save stack
+    /// and set the new one.
     fn pre_visit_globals(
         &mut self,
         prod: ProdId,
         i: u16,
         scope: Scope<'_>,
-    ) -> Result<Vec<(GroupId, Option<Value>)>, EvalError> {
+    ) -> Result<(), EvalError> {
         let an = self.analysis;
-        let child_sym = an.grammar.production(prod).rhs[i as usize];
-        let mut saves = Vec::new();
-        for &a in &an.grammar.symbol(child_sym).attrs {
-            if !self.static_now(a, AttrClass::Inherited) {
+        for site in an.subsumption.protocol(self.pass, prod) {
+            if site.at != SiteAt::BeforeVisit(i) {
                 continue;
             }
-            let occ = AttrOcc::rhs(i, a);
-            let val = self.resolve(occ, scope)?;
-            if self.def_subsumed(prod, occ) {
-                self.check_global(a, &val);
+            let val = self.resolve(AttrOcc::rhs(i, site.attr), scope)?;
+            if site.subsumed {
+                self.check_global(site.group, &val);
             } else {
-                let group = an.subsumption.group_of(a);
-                saves.push((group, self.globals[group.0 as usize].replace(val)));
+                let old = self.globals[site.group.0 as usize].replace(val);
+                self.saves.push((site.group, old));
             }
         }
-        Ok(saves)
+        Ok(())
     }
 
     /// After visiting child `i`: verify the child's this-pass synthesized
-    /// static values arrived in the globals, then restore what we saved.
+    /// static values arrived in the globals, then restore what the visit
+    /// saved above `saved` on the save stack.
     fn post_visit_globals(
         &mut self,
         prod: ProdId,
         i: u16,
         children: &[Option<NodeState>],
-        saves: Vec<(GroupId, Option<Value>)>,
+        saved: usize,
     ) {
-        let g = &self.analysis.grammar;
-        let child_sym = g.production(prod).rhs[i as usize];
+        let an = self.analysis;
         if let Some(child) = children[i as usize].as_ref() {
-            for &a in &g.symbol(child_sym).attrs {
-                if !self.static_now(a, AttrClass::Synthesized) {
+            for site in an.subsumption.protocol(self.pass, prod) {
+                if site.at != SiteAt::AfterVisit(i) {
                     continue;
                 }
-                if let Some(val) = child.values.get(a) {
-                    self.check_global(a, val);
+                if let Some(val) = child.values.get(site.attr) {
+                    self.check_global(site.group, val);
                 }
             }
         }
-        for (group, old) in saves.into_iter().rev() {
+        for (group, old) in self.saves.drain(saved..).rev() {
             self.globals[group.0 as usize] = old;
         }
     }
@@ -1315,17 +1301,17 @@ impl<'a> Machine<'a> {
     /// the value should already be there (verified).
     fn end_globals(&mut self, prod: ProdId, state: &NodeState) {
         let an = self.analysis;
-        for &a in &an.grammar.symbol(state.sym).attrs {
-            if !self.static_now(a, AttrClass::Synthesized) {
+        for site in an.subsumption.protocol(self.pass, prod) {
+            if site.at != SiteAt::End {
                 continue;
             }
-            let Some(val) = state.values.get(a) else {
+            let Some(val) = state.values.get(site.attr) else {
                 continue;
             };
-            if self.def_subsumed(prod, AttrOcc::lhs(a)) {
-                self.check_global(a, val);
+            if site.subsumed {
+                self.check_global(site.group, val);
             } else {
-                self.globals[an.subsumption.group_of(a).0 as usize] = Some(val.clone());
+                self.globals[site.group.0 as usize] = Some(val.clone());
             }
         }
     }
@@ -1464,5 +1450,55 @@ impl Store {
             Store::SharedMemory { lock_tally, .. } => lock_tally.load(Ordering::Relaxed),
             _ => 0,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use linguist_ag::analysis::Config;
+    use linguist_ag::grammar::AgBuilder;
+
+    fn map(pairs: &[(i64, i64)]) -> Value {
+        Value::Map(
+            pairs
+                .iter()
+                .map(|&(k, v)| (Value::Int(k), Value::Int(v)))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn check_global_repairs_differing_contents_only() {
+        let mut b = AgBuilder::new();
+        let s = b.nonterminal("S");
+        let env = b.synthesized(s, "ENV", "env");
+        let p = b.production(s, vec![], None);
+        b.rule(p, vec![AttrOcc::lhs(env)], Expr::Int(0));
+        b.start(s);
+        let analysis = Analysis::run(b.build().unwrap(), &Config::default()).unwrap();
+        let funcs = Funcs::standard();
+        let mut m = Machine::new(&analysis, &funcs, true, EvalStats::default());
+        let group = analysis.subsumption.group_of(env);
+        let counts = |m: &Machine| (m.stats.globals_checked, m.stats.globals_repaired);
+
+        let table = map(&[(1, 10), (2, 20)]);
+        m.globals[group.0 as usize] = Some(table.clone());
+        m.check_global(group, &table);
+        assert_eq!(counts(&m), (1, 0), "one spine");
+
+        // Another spine with the same bindings, one of them shadowing an
+        // older pair: equal, so nothing to repair.
+        m.check_global(group, &map(&[(2, 20), (1, 99), (1, 10)]));
+        assert_eq!(counts(&m), (2, 0), "equal contents");
+
+        let differs = map(&[(1, 10), (2, 21)]);
+        m.check_global(group, &differs);
+        assert_eq!(counts(&m), (3, 1), "different contents");
+        assert_eq!(m.globals[group.0 as usize].as_ref(), Some(&differs));
+
+        m.globals[group.0 as usize] = None;
+        m.check_global(group, &table);
+        assert_eq!(counts(&m), (4, 2), "empty global");
     }
 }

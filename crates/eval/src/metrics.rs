@@ -6,95 +6,43 @@
 //! [`EvalMetrics`] is that table, produced live by the machine when
 //! [`EvalOptions::profile`](crate::machine::EvalOptions::profile) is on.
 //!
-//! The counters are atomics ([`IoCounters`]) shared between the machine
-//! and the [`AptReader`](crate::aptfile::AptReader) /
-//! [`AptWriter`](crate::aptfile::AptWriter) it drives, so one sink can in
-//! principle be observed while a pass is still running (and so the batch
-//! evaluator can aggregate without any locking). With profiling off, no
-//! sink is allocated and the readers/writers skip a single `Option`
-//! check per record — near-zero overhead on the unprofiled hot path.
+//! The file traffic of a row is the pass's own [`PassStats`]: the
+//! [`AptReader`](crate::aptfile::AptReader) and
+//! [`AptWriter`](crate::aptfile::AptWriter) already count the records and
+//! bytes they move, and the machine reads those tallies when the pass
+//! ends. The semantic work is two plain counters the machine bumps as it
+//! goes ([`PassProbe`]); no profile counter on the per-record path is
+//! shared or atomic.
 
 use crate::aptfile::ReadDir;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::machine::PassStats;
 
-/// A pair of record/byte tallies, bumped atomically by the APT file layer.
-#[derive(Debug, Default)]
-pub struct IoCounters {
-    records: AtomicU64,
-    bytes: AtomicU64,
-}
-
-impl IoCounters {
-    /// A fresh zeroed counter pair behind an `Arc`, ready to hand to an
-    /// `AptReader`/`AptWriter`.
-    pub fn shared() -> Arc<IoCounters> {
-        Arc::new(IoCounters::default())
-    }
-
-    /// Record one transferred record of `bytes` framed bytes.
-    #[inline]
-    pub fn add_record(&self, bytes: u64) {
-        self.records.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Current `(records, bytes)` totals.
-    pub fn snapshot(&self) -> (u64, u64) {
-        (
-            self.records.load(Ordering::Relaxed),
-            self.bytes.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// The live counter set the machine carries through one pass.
-#[derive(Debug)]
+/// The semantic-work counters the machine keeps through one pass.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PassProbe {
-    /// Traffic read from the pass's input intermediate file.
-    pub read: Arc<IoCounters>,
-    /// Traffic written to the pass's output intermediate file.
-    pub written: Arc<IoCounters>,
     /// Attribute instances defined (rule targets assigned) this pass.
-    pub attrs_evaluated: AtomicU64,
+    pub attrs_evaluated: u64,
     /// External semantic-function invocations this pass.
-    pub funcs_invoked: AtomicU64,
+    pub funcs_invoked: u64,
 }
 
 impl PassProbe {
-    /// Fresh zeroed probe.
-    pub fn new() -> PassProbe {
-        PassProbe {
-            read: IoCounters::shared(),
-            written: IoCounters::shared(),
-            attrs_evaluated: AtomicU64::new(0),
-            funcs_invoked: AtomicU64::new(0),
-        }
-    }
-
-    /// Freeze the probe into the per-pass report row.
-    pub fn finish(&self, pass: u16, direction: ReadDir, rules_evaluated: u64) -> PassIo {
-        let (records_read, bytes_read) = self.read.snapshot();
-        let (records_written, bytes_written) = self.written.snapshot();
+    /// Freeze the probe, with the file traffic and rule count the pass
+    /// measured, into the per-pass report row.
+    pub fn finish(&self, pass: u16, direction: ReadDir, stats: &PassStats) -> PassIo {
         PassIo {
             pass,
             direction,
             input_boundary: pass - 1,
             output_boundary: pass,
-            records_read,
-            bytes_read,
-            records_written,
-            bytes_written,
-            attrs_evaluated: self.attrs_evaluated.load(Ordering::Relaxed),
-            funcs_invoked: self.funcs_invoked.load(Ordering::Relaxed),
-            rules_evaluated,
+            records_read: stats.records_read,
+            bytes_read: stats.bytes_read,
+            records_written: stats.records_written,
+            bytes_written: stats.bytes_written,
+            attrs_evaluated: self.attrs_evaluated,
+            funcs_invoked: self.funcs_invoked,
+            rules_evaluated: stats.rules_evaluated,
         }
-    }
-}
-
-impl Default for PassProbe {
-    fn default() -> PassProbe {
-        PassProbe::new()
     }
 }
 
@@ -219,27 +167,27 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_snapshot() {
-        let c = IoCounters::shared();
-        c.add_record(16);
-        c.add_record(24);
-        assert_eq!(c.snapshot(), (2, 40));
-    }
-
-    #[test]
     fn probe_freezes_into_pass_row() {
-        let p = PassProbe::new();
-        p.read.add_record(12);
-        p.written.add_record(20);
-        p.written.add_record(20);
-        p.attrs_evaluated.fetch_add(3, Ordering::Relaxed);
-        let row = p.finish(2, ReadDir::Forward, 5);
+        let p = PassProbe {
+            attrs_evaluated: 3,
+            funcs_invoked: 1,
+        };
+        let stats = PassStats {
+            records_read: 1,
+            bytes_read: 12,
+            records_written: 2,
+            bytes_written: 40,
+            rules_evaluated: 5,
+            ..PassStats::default()
+        };
+        let row = p.finish(2, ReadDir::Forward, &stats);
         assert_eq!(row.pass, 2);
+        assert_eq!(row.direction, ReadDir::Forward);
         assert_eq!(row.input_boundary, 1);
         assert_eq!(row.output_boundary, 2);
         assert_eq!((row.records_read, row.bytes_read), (1, 12));
         assert_eq!((row.records_written, row.bytes_written), (2, 40));
-        assert_eq!(row.attrs_evaluated, 3);
+        assert_eq!((row.attrs_evaluated, row.funcs_invoked), (3, 1));
         assert_eq!(row.rules_evaluated, 5);
     }
 

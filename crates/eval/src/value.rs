@@ -116,7 +116,11 @@ impl fmt::Display for Str {
 }
 
 /// A run-time attribute value.
-#[derive(Clone, Debug)]
+///
+/// Equality is per variant: sets compare as sets, maps by their effective
+/// bindings, and collections that share structure compare at pointer cost
+/// (see [`List`]'s `PartialEq`).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Value {
     /// Integer.
     Int(i64),
@@ -316,28 +320,6 @@ fn encode_counted<T>(
     }
     out[at..at + 4].copy_from_slice(&n.to_le_bytes());
 }
-
-impl PartialEq for Value {
-    fn eq(&self, other: &Value) -> bool {
-        match (self, other) {
-            (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Bool(a), Value::Bool(b)) => a == b,
-            (Value::Sym(a), Value::Sym(b)) => a == b,
-            (Value::Str(a), Value::Str(b)) => a == b,
-            (Value::List(a), Value::List(b)) => a == b,
-            (Value::Set(a), Value::Set(b)) => a == b,
-            (Value::Map(a), Value::Map(b)) => {
-                // Extensional equality over effective bindings.
-                let da = a.domain();
-                let db = b.domain();
-                da.len() == db.len() && da.iter().all(|k| a.eval(k) == b.eval(k))
-            }
-            _ => false,
-        }
-    }
-}
-
-impl Eq for Value {}
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -630,6 +630,63 @@ fn memory_backing_agrees_with_disk() {
     );
 }
 
+/// The profile's file traffic is the passes' own tallies: every
+/// `EvalMetrics` row carries exactly the records and bytes its
+/// `EvalStats` pass read and wrote, on every backing and after a retried
+/// pass attempt.
+#[test]
+fn profile_rows_match_pass_stats() {
+    use linguist_eval::aptfile::{FaultSpec, FaultTarget};
+    use linguist_eval::machine::{Backing, RetryPolicy};
+    let analysis = Analysis::run(two_pass_grammar(), &config(Direction::LeftToRight)).unwrap();
+    let g = &analysis.grammar;
+    let x = g.symbol_by_name("x").unwrap();
+    let obj = g.attr_by_name(x, "OBJ").unwrap();
+    let tree = PTree::node(
+        ProdId(0),
+        vec![
+            PTree::node(ProdId(1), vec![PTree::leaf(x, vec![(obj, Value::Int(0))])]),
+            PTree::node(ProdId(2), vec![PTree::leaf(x, vec![(obj, Value::Int(7))])]),
+        ],
+    );
+    for backing in [Backing::Disk, Backing::Memory, Backing::SharedMemory] {
+        for fault in [None, Some(FaultSpec::new(2, FaultTarget::Read, 2))] {
+            let opts = EvalOptions {
+                backing,
+                profile: true,
+                fault,
+                retry: RetryPolicy::retries(1),
+                ..options(Strategy::Prefix)
+            };
+            let r = evaluate(&analysis, &Funcs::standard(), &tree, &opts).unwrap();
+            let m = r.metrics.expect("profile requested");
+            assert_eq!(m.passes.len(), 2);
+            assert_eq!(m.passes.len(), r.stats.passes.len());
+            for (row, pass) in m.passes.iter().zip(&r.stats.passes) {
+                assert_eq!(
+                    (row.records_read, row.bytes_read),
+                    (pass.records_read, pass.bytes_read),
+                    "{:?} pass {} read",
+                    backing,
+                    row.pass
+                );
+                assert_eq!(
+                    (row.records_written, row.bytes_written),
+                    (pass.records_written, pass.bytes_written),
+                    "{:?} pass {} written",
+                    backing,
+                    row.pass
+                );
+                assert_eq!(row.rules_evaluated, pass.rules_evaluated);
+                assert!(row.records_read > 0 && row.bytes_written > 0);
+            }
+            assert_eq!(m.passes[0].bytes_read, m.initial_bytes);
+            assert_eq!(m.passes[1].bytes_read, m.passes[0].bytes_written);
+            assert_eq!(r.stats.retries, u64::from(opts.fault.is_some()));
+        }
+    }
+}
+
 /// S -> x with S.V = `func`(x.OBJ): one external call per evaluation.
 fn call_grammar(func: &str) -> Analysis {
     let mut b = AgBuilder::new();

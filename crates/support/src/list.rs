@@ -126,14 +126,18 @@ impl<T> Default for List<T> {
     }
 }
 
-impl<T: PartialEq> PartialEq for List<T> {
+/// Element-by-element equality that stops at the first node both lists
+/// share: from there on they are one list, so two handles to one spine
+/// compare in O(1). Skipping the shared rest assumes `x == x` for every
+/// element, hence `T: Eq`.
+impl<T: Eq> PartialEq for List<T> {
     fn eq(&self, other: &List<T>) -> bool {
-        let mut a = self.iter();
-        let mut b = other.iter();
+        let (mut a, mut b) = (self, other);
         loop {
-            match (a.next(), b.next()) {
+            match (&a.node, &b.node) {
                 (None, None) => return true,
-                (Some(x), Some(y)) if x == y => continue,
+                (Some(x), Some(y)) if Arc::ptr_eq(x, y) => return true,
+                (Some(x), Some(y)) if x.head == y.head => (a, b) = (&x.tail, &y.tail),
                 _ => return false,
             }
         }

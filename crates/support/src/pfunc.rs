@@ -85,6 +85,21 @@ impl<K: PartialEq + Clone, V: Clone> Default for PartialFn<K, V> {
     }
 }
 
+/// Extensional equality over the effective bindings: shadowed pairs do
+/// not count. Binding lists that match pair for pair (or share one spine)
+/// prove it in one walk; only then are the domains compared key by key.
+impl<K: Eq + Clone, V: Eq + Clone> PartialEq for PartialFn<K, V> {
+    fn eq(&self, other: &PartialFn<K, V>) -> bool {
+        if self.pairs == other.pairs {
+            return true;
+        }
+        let (da, db) = (self.domain(), other.domain());
+        da.len() == db.len() && da.iter().all(|k| self.eval(k) == other.eval(k))
+    }
+}
+
+impl<K: Eq + Clone, V: Eq + Clone> Eq for PartialFn<K, V> {}
+
 impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for PartialFn<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()

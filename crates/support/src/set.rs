@@ -114,9 +114,13 @@ impl<T: PartialEq + Clone> Default for LSet<T> {
     }
 }
 
-impl<T: PartialEq + Clone> PartialEq for LSet<T> {
+/// Sets are equal when they hold the same elements. Item lists that match
+/// element for element (or share one spine) prove it in one walk; only
+/// then is membership checked. The items are duplicate-free, so equal
+/// sizes and one inclusion suffice.
+impl<T: Eq + Clone> PartialEq for LSet<T> {
     fn eq(&self, other: &LSet<T>) -> bool {
-        self.is_subset(other) && other.is_subset(self)
+        self.items == other.items || (self.len() == other.len() && self.is_subset(other))
     }
 }
 

@@ -55,6 +55,11 @@
 #      answer 40 translate round trips on one client connection, every
 #      reply ok, with a median under 10 ms (a frame split over several
 #      writes with Nagle on waits ~40 ms for the delayed ACK)
+#  22. large pascal program: one daemon translates the 38 KB
+#      pascal_program(800, 800) within a 5 s client timeout, replying ok
+#      with NVARS 800 (the subsumption checks compare the symbol table in
+#      each global by identity first; extensional equality alone made
+#      this input take about a minute)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -522,5 +527,53 @@ wait "$T2_PID" || { echo "tcp shard 2 exited non-zero"; exit 1; }
 T2_PID=""
 rm -rf "$TCPLOG"
 echo "every TCP round trip ok, median under 10 ms"
+
+echo "== large pascal program through one daemon =="
+PPDIR="$(mktemp -d)"
+PPSOCK="$PPDIR/serve.sock"
+target/release/linguist serve --socket "$PPSOCK" --workers 1 &
+PP_PID=$!
+trap 'rm -rf "$CKPT"
+      for P in "$SERVE_PID" "$S1_PID" "$S2_PID" "$ROUTER_PID" "$CHAOS_PID" "$AOT_PID" "$ON_PID" "$OFF_PID" "$T1_PID" "$T2_PID" "$TR_PID" "$PP_PID"; do
+        [ -n "$P" ] && kill "$P" 2>/dev/null || true
+      done
+      rm -f "$SOCK" "$RS1" "$RS2" "$FRONT" "$AOTSOCK" "$ONSOCK" "$OFFSOCK"
+      rm -rf "$PPDIR"' EXIT
+for _ in $(seq 1 100); do
+  [ -S "$PPSOCK" ] && break
+  sleep 0.05
+done
+[ -S "$PPSOCK" ] || { echo "daemon never bound its socket"; exit 1; }
+# The text of linguist_grammars::pascal_program(800, 800).
+python3 - "$PPDIR/program.pas" <<'PY'
+import sys
+nvars, stmts = 800, 800
+out = ["program bench;\n"]
+out += [f"var v{i} : integer;\n" for i in range(nvars)]
+out.append("begin\n")
+out.append(";\n".join(
+    f"  v{i % nvars} := v{(i + 1) % nvars} + {i % 97} * v{(i + 2) % nvars}"
+    for i in range(stmts)))
+out.append("\nend.\n")
+open(sys.argv[1], "w").write("".join(out))
+PY
+PPHANDLE="$(target/release/linguist client --socket "$PPSOCK" \
+    load crates/grammars/lg/pascal.lg --scanner pascal --name pascal \
+  | python3 -c 'import json,sys; r=json.load(sys.stdin); assert r["ok"], r; print(r["grammar"])')"
+target/release/linguist client --socket "$PPSOCK" --timeout-ms 5000 \
+    translate "$PPHANDLE" --input-file "$PPDIR/program.pas" \
+  | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+assert r["ok"], r
+assert r["outputs"]["NVARS"] == "800", r["outputs"]
+wall = r["wall_ms"]
+print(f"pascal_program(800, 800): ok in {wall:.1f} ms")
+'
+target/release/linguist client --socket "$PPSOCK" shutdown > /dev/null
+wait "$PP_PID" || { echo "daemon exited non-zero"; exit 1; }
+PP_PID=""
+rm -rf "$PPDIR"
+echo "38 KB pascal program translated within the client timeout"
 
 echo "verify: all green"

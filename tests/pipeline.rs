@@ -5,12 +5,16 @@
 use linguist86::ag::analysis::Config;
 use linguist86::ag::passes::{Direction, PassConfig};
 use linguist86::eval::funcs::Funcs;
-use linguist86::eval::machine::EvalOptions;
+use linguist86::eval::machine::{Backing, EvalOptions, Strategy};
 use linguist86::eval::value::Value;
-use linguist86::frontend::driver::{run, DriverError, DriverOptions};
+use linguist86::frontend::driver::{analyze, run, DriverError, DriverOptions};
 use linguist86::frontend::Translator;
-use linguist86::grammars::{block_source, knuth_scanner, knuth_source, meta_source};
+use linguist86::grammars::{
+    block_source, knuth_scanner, knuth_source, meta_source, pascal_program, pascal_scanner,
+    pascal_source,
+};
 use linguist86::lexgen::ScannerDef;
+use std::time::{Duration, Instant};
 
 #[test]
 fn knuth_binary_numbers_evaluate() {
@@ -300,4 +304,47 @@ fn coalesce_mode_runs_through_the_driver() {
     let coal = out.analysis.subsumption.stats(&out.analysis.grammar);
     let same = base.analysis.subsumption.stats(&base.analysis.grammar);
     assert!(coal.subsumed_rules + 5 >= same.subsumed_rules);
+}
+
+/// A 38 KB pascal program (800 declarations, 800 statements) under the
+/// options of a serve job: optimized grammar, RAM-backed APT, profile and
+/// every global check on. Each check compares the symbol table in a
+/// global with its reference value; with extensional map equality alone
+/// that made the translation cubic in the program size (a minute in a
+/// release build). Shared structure now settles each check at pointer cost.
+#[test]
+fn large_pascal_program_checks_its_globals_in_linear_time() {
+    let config = Config {
+        optimize: true,
+        ..Config::default()
+    };
+    let analysis = analyze(pascal_source(), &config).unwrap();
+    assert_eq!(analysis.passes.direction(1), Direction::RightToLeft);
+    let t = Translator::new(analysis, pascal_scanner()).unwrap();
+    let opts = EvalOptions {
+        strategy: Strategy::BottomUp,
+        backing: Backing::Memory,
+        check_globals: true,
+        profile: true,
+        ..EvalOptions::default()
+    };
+    // The statement list nests 800 deep; an unoptimized build's frames
+    // need more than a test thread's default stack for that.
+    let (t, r, took) = std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(move || {
+            let started = Instant::now();
+            let r = t.translate(&pascal_program(800, 800), &Funcs::standard(), &opts);
+            (t, r.unwrap(), started.elapsed())
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+    // About 0.3 s unoptimized; the cubic version needed minutes.
+    assert!(took < Duration::from_secs(20), "took {:?}", took);
+    assert_eq!(r.output(&t.analysis, "NVARS"), Some(&Value::Int(800)));
+    assert_eq!(r.output(&t.analysis, "CODE"), Some(&Value::Int(4800)));
+    assert_eq!(r.output(&t.analysis, "MSGS"), Some(&Value::nil()));
+    assert_eq!(r.stats.globals_checked, 7999);
+    assert_eq!(r.stats.globals_repaired, 0);
 }

@@ -24,15 +24,14 @@
 //!   execute;
 //! * grammar **statistics** ([`stats`]) matching the profile the paper
 //!   reports for LINGUIST-86's own 1800-line grammar;
-//! * [`analysis`] — the orchestrator running all of the above in order;
+//! * [`analysis`] — the one pipeline running all of the above in order;
 //! * the **lint framework** ([`lint`]) — coded `AG0xx` diagnostics
 //!   explaining what the analyses decided and why (unused attributes,
 //!   residual copy-rules, the dependencies that force each pass, …);
 //! * the **grammar optimizer** ([`dataflow`]) — a monotone dataflow
 //!   framework over the attribute dependency graph, with constant
-//!   folding, copy-chain collapsing, dead-attribute elimination, and
-//!   per-production change-impact closures, run before scheduling
-//!   when [`analysis::Config::optimize`] is set.
+//!   folding, copy-chain collapsing and dead-attribute elimination,
+//!   run before scheduling when [`analysis::Config::optimize`] is set.
 //!
 //! # Example
 //!

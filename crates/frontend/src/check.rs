@@ -10,18 +10,11 @@
 
 use crate::lang::parse;
 use crate::lower::lower_with_spans;
-use linguist_ag::analysis::{Analysis, Config};
-use linguist_ag::check::check_completeness;
-use linguist_ag::circularity::check_noncircular;
-use linguist_ag::implicit::insert_implicit_copies;
-use linguist_ag::lifetime::Lifetimes;
+use linguist_ag::analysis::{Analysis, AnalysisError, Config};
 use linguist_ag::lint::{
     circularity_finding, codes, completeness_findings, pass_error_findings, run_lints,
     run_structure_lints, sort_findings, Finding, LintConfig,
 };
-use linguist_ag::passes::assign_passes;
-use linguist_ag::plan::build_plans;
-use linguist_ag::subsumption::Subsumption;
 use linguist_support::diag::Severity;
 use linguist_support::json::Json;
 
@@ -140,7 +133,7 @@ pub fn check_source(source: &str, config: &Config, lint: &LintConfig) -> CheckRe
     };
 
     // Stage 2: lower (AG012).
-    let (mut grammar, mut spans) = match lower_with_spans(&file) {
+    let (grammar, mut spans) = match lower_with_spans(&file) {
         Ok(pair) => pair,
         Err(errs) => {
             let mut findings: Vec<Finding> = errs
@@ -161,104 +154,50 @@ pub fn check_source(source: &str, config: &Config, lint: &LintConfig) -> CheckRe
         }
     };
 
-    // Stage 3: implicit copies, then completeness (AG007) and
-    // circularity (AG006) — both reported, neither fatal to the
-    // structural lints.
-    let implicit = if config.skip_implicit {
-        linguist_ag::implicit::ImplicitStats::default()
-    } else {
-        insert_implicit_copies(&mut grammar)
-    };
-    let mut findings = Vec::new();
-    let mut well_formed = true;
-    if let Err(errs) = check_completeness(&grammar) {
-        findings.extend(completeness_findings(&grammar, &spans, &errs));
-        well_formed = false;
-    }
-    let mut io = match check_noncircular(&grammar) {
-        Ok(io) => Some(io),
-        Err(c) => {
-            findings.push(circularity_finding(&grammar, &spans, &c));
-            well_formed = false;
-            None
+    // Stage 3: the analysis pipeline. Completeness (AG007) and
+    // circularity (AG006) errors are reported together; pass assignment
+    // (AG010) and plan construction run only on well-formed grammars.
+    let rejected = match Analysis::staged(grammar, config, &mut |_, _| {}) {
+        Ok(analysis) => {
+            if let Some(report) = &analysis.opt {
+                spans.remap_rules(&report.rule_remap);
+            }
+            let mut findings = run_lints(&analysis, &spans, &lint);
+            sort_findings(&mut findings);
+            return CheckReport {
+                findings,
+                passes: Some(analysis.passes.num_passes()),
+            };
         }
+        Err(rejected) => rejected,
     };
-
-    // Stage 3.5: the grammar optimizer — only on well-formed grammars
-    // (its soundness argument assumes completeness and non-circularity
-    // already hold). Its AG013–AG015 notes surface through run_lints.
-    let mut opt = None;
-    if well_formed && config.optimize {
-        let report = linguist_ag::dataflow::optimize(&mut grammar);
+    if let Some(report) = &rejected.opt {
         spans.remap_rules(&report.rule_remap);
-        match check_noncircular(&grammar) {
-            Ok(new_io) => io = Some(new_io),
-            Err(c) => {
-                findings.push(circularity_finding(&grammar, &spans, &c));
-                well_formed = false;
-            }
-        }
-        opt = Some(report);
     }
-
-    // Stage 4: pass assignment (AG010) and the flow lints — only for
-    // well-formed grammars; a completeness gap would make the pass
-    // analysis report nonsense.
-    let mut passes_count = None;
-    if well_formed {
-        match assign_passes(&grammar, &config.pass) {
-            Ok(passes) => {
-                passes_count = Some(passes.num_passes());
-                let mut lifetimes = Lifetimes::compute(&grammar, &passes);
-                if config.optimize {
-                    lifetimes.enable_record_elision();
-                }
-                let subsumption = if config.disable_subsumption {
-                    Subsumption::disabled(&grammar)
-                } else {
-                    Subsumption::compute(&grammar, config.group_mode, config.costs, Some(&passes))
-                };
-                match build_plans(&grammar, &passes) {
-                    Ok(plans) => {
-                        let analysis = Analysis {
-                            grammar,
-                            implicit,
-                            io: io.unwrap_or_default(),
-                            passes,
-                            lifetimes,
-                            subsumption,
-                            plans,
-                            opt,
-                        };
-                        findings.extend(run_lints(&analysis, &spans, &lint));
-                        sort_findings(&mut findings);
-                        return CheckReport {
-                            findings,
-                            passes: passes_count,
-                        };
-                    }
-                    Err(e) => {
-                        findings.push(Finding {
-                            code: codes::NOT_PASS_EVALUABLE,
-                            severity: Severity::Error,
-                            span: linguist_support::pos::Span::default(),
-                            message: format!("evaluation-plan construction failed: {}", e),
-                            payload: Json::Obj(vec![("kind".to_string(), Json::str("plan-error"))]),
-                        });
-                    }
-                }
-            }
-            Err(e) => findings.extend(pass_error_findings(&e)),
+    let g = &rejected.grammar;
+    let mut findings = Vec::new();
+    for e in &rejected.errors {
+        match e {
+            AnalysisError::Check(errs) => findings.extend(completeness_findings(g, &spans, errs)),
+            AnalysisError::Circular(c) => findings.push(circularity_finding(g, &spans, c)),
+            AnalysisError::Pass(e) => findings.extend(pass_error_findings(e)),
+            AnalysisError::Plan(e) => findings.push(Finding {
+                code: codes::NOT_PASS_EVALUABLE,
+                severity: Severity::Error,
+                span: linguist_support::pos::Span::default(),
+                message: format!("evaluation-plan construction failed: {}", e),
+                payload: Json::Obj(vec![("kind".to_string(), Json::str("plan-error"))]),
+            }),
         }
     }
 
     // Degraded path: the grammar exists but pass-dependent lints are
     // unavailable. Structural lints still apply.
-    findings.extend(run_structure_lints(&grammar, &spans));
+    findings.extend(run_structure_lints(g, &spans));
     sort_findings(&mut findings);
     CheckReport {
         findings,
-        passes: passes_count,
+        passes: rejected.passes,
     }
 }
 

@@ -21,16 +21,9 @@
 use crate::lang::{parse, SyntaxError};
 use crate::listing::render_listing;
 use crate::lower::{lower_with_spans, LowerError};
-use linguist_ag::analysis::{Analysis, AnalysisError, Config};
-use linguist_ag::check::check_completeness;
-use linguist_ag::circularity::check_noncircular;
-use linguist_ag::implicit::insert_implicit_copies;
-use linguist_ag::lifetime::Lifetimes;
+use linguist_ag::analysis::{Analysis, AnalysisError, Config, Stage};
 use linguist_ag::lint::{run_lints, LintConfig, SpanMap};
-use linguist_ag::passes::assign_passes;
-use linguist_ag::plan::build_plans;
 use linguist_ag::stats::GrammarStats;
-use linguist_ag::subsumption::Subsumption;
 use linguist_codegen::{GeneratedEvaluator, GeneratedPass, Target};
 pub use linguist_engine::EngineKind;
 use linguist_support::diag::Diagnostics;
@@ -250,60 +243,19 @@ fn analyze_timed(
 
     // Overlay 2: dictionary building (lowering).
     let t = Instant::now();
-    let (mut grammar, mut spans) = lower_with_spans(&file).map_err(DriverError::Lower)?;
+    let (grammar, mut spans) = lower_with_spans(&file).map_err(DriverError::Lower)?;
     timings.semantic1 = t.elapsed();
 
-    // Overlay 3: implicit copy-rules + completeness.
-    let t = Instant::now();
-    let implicit = if config.skip_implicit {
-        linguist_ag::implicit::ImplicitStats::default()
-    } else {
-        insert_implicit_copies(&mut grammar)
-    };
-    check_completeness(&grammar).map_err(|e| DriverError::Analysis(AnalysisError::Check(e)))?;
-    timings.semantic2 = t.elapsed();
-
-    // Overlay 4: evaluability.
-    let t = Instant::now();
-    let mut io = check_noncircular(&grammar)
-        .map_err(|e| DriverError::Analysis(AnalysisError::Circular(e)))?;
-    // Grammar optimizer: rewrite before any scheduling so pass
-    // assignment, lifetimes, and subsumption all see the smaller rule
-    // set. Runs only on grammars that already passed completeness and
-    // circularity; its transforms only remove dependency edges.
-    let opt = if config.optimize {
-        let report = linguist_ag::dataflow::optimize(&mut grammar);
+    // Overlays 3 (implicit copy-rules, completeness) and 4
+    // (evaluability): one pipeline, timed stage by stage.
+    let analysis = Analysis::staged(grammar, config, &mut |stage, d| match stage {
+        Stage::Implicit | Stage::Completeness => timings.semantic2 += d,
+        _ => timings.evaluability += d,
+    })
+    .map_err(|r| DriverError::Analysis(r.into()))?;
+    if let Some(report) = &analysis.opt {
         spans.remap_rules(&report.rule_remap);
-        io = check_noncircular(&grammar)
-            .map_err(|e| DriverError::Analysis(AnalysisError::Circular(e)))?;
-        Some(report)
-    } else {
-        None
-    };
-    let passes = assign_passes(&grammar, &config.pass)
-        .map_err(|e| DriverError::Analysis(AnalysisError::Pass(e)))?;
-    let mut lifetimes = Lifetimes::compute(&grammar, &passes);
-    if config.optimize {
-        lifetimes.enable_record_elision();
     }
-    let subsumption = if config.disable_subsumption {
-        Subsumption::disabled(&grammar)
-    } else {
-        Subsumption::compute(&grammar, config.group_mode, config.costs, Some(&passes))
-    };
-    let plans = build_plans(&grammar, &passes)
-        .map_err(|e| DriverError::Analysis(AnalysisError::Plan(e)))?;
-    let analysis = Analysis {
-        grammar,
-        implicit,
-        io,
-        passes,
-        lifetimes,
-        subsumption,
-        plans,
-        opt,
-    };
-    timings.evaluability = t.elapsed();
     Ok((analysis, spans, timings))
 }
 

@@ -39,9 +39,11 @@ use linguist_eval::machine::EvalError;
 use linguist_frontend::translate::TranslateError;
 use linguist_support::json::Json;
 use std::fmt::Display;
-use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::os::unix::net::UnixStream;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, OwnedFd};
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use crate::store::LoadError;
@@ -513,6 +515,70 @@ impl Write for Stream {
     }
     fn flush(&mut self) -> std::io::Result<()> {
         on_socket!(&mut self.0, s => s.flush())
+    }
+}
+
+/// The drain switch of a daemon or router: a flag the acceptors and
+/// connection threads poll, plus handles on the listening sockets so a
+/// drain can wake the acceptors blocked in `accept`.
+///
+/// The wake-up must not go through the socket's path: the file may
+/// have been removed while the process ran, and a connect to it would
+/// then fail and leave `accept` blocked forever. Instead every listener
+/// is shut down through a clone of its fd; on Linux a blocked `accept`
+/// then fails at once, and the acceptor sees the flag.
+pub(crate) struct Drain {
+    requested: AtomicBool,
+    listeners: Vec<OwnedFd>,
+}
+
+/// `SHUT_RDWR` from `<sys/socket.h>`.
+const SHUT_RDWR: i32 = 2;
+
+extern "C" {
+    // The C library's shutdown(2), bound the way `signal.rs` binds
+    // signal(2): no libc crate.
+    #[link_name = "shutdown"]
+    fn shutdown_socket(fd: i32, how: i32) -> i32;
+}
+
+impl Drain {
+    /// A drain switch for these listeners.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a listener's fd cannot be cloned.
+    pub(crate) fn new(unix: Option<&UnixListener>, tcp: Option<&TcpListener>) -> io::Result<Drain> {
+        let mut listeners = Vec::new();
+        if let Some(l) = unix {
+            listeners.push(OwnedFd::from(l.try_clone()?));
+        }
+        if let Some(l) = tcp {
+            listeners.push(OwnedFd::from(l.try_clone()?));
+        }
+        Ok(Drain {
+            requested: AtomicBool::new(false),
+            listeners,
+        })
+    }
+
+    /// Has a drain been requested?
+    pub(crate) fn requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+
+    /// Set the flag, then wake every acceptor. Idempotent.
+    pub(crate) fn request(&self) {
+        if self.requested.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for fd in &self.listeners {
+            // SAFETY: `fd` is an open socket this value owns until it
+            // drops; shutdown(2) reads no memory of ours.
+            unsafe {
+                shutdown_socket(fd.as_raw_fd(), SHUT_RDWR);
+            }
+        }
     }
 }
 

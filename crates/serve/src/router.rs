@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use crate::hist::LatencyHistogram;
 use crate::proto::{
-    error_reply, kind, ok_reply, retryable_kind, serve_frames, write_frame, FrameError,
+    error_reply, kind, ok_reply, retryable_kind, serve_frames, write_frame, Drain, FrameError,
     FrameReader, GrammarRef, Request, Stream,
 };
 use crate::store::{fnv1a, grammar_key};
@@ -383,7 +383,7 @@ pub struct RouterState {
     ring: Vec<(u64, usize)>,
     sources: Mutex<SourceCache>,
     metrics: RouterMetrics,
-    shutdown: AtomicBool,
+    drain: Drain,
     unix_path: Option<PathBuf>,
     tcp_addr: Option<SocketAddr>,
 }
@@ -391,12 +391,12 @@ pub struct RouterState {
 impl RouterState {
     /// Has a drain been requested?
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.drain.requested()
     }
 
     /// Begin a graceful drain from outside the protocol (SIGTERM).
     pub fn begin_drain(&self) {
-        request_drain(self);
+        self.drain.request();
     }
 
     /// Per-shard state snapshots, ring order.
@@ -493,7 +493,7 @@ impl Router {
                 errors: AtomicU64::new(0),
                 latency: LatencyHistogram::new(),
             },
-            shutdown: AtomicBool::new(false),
+            drain: Drain::new(unix_listener.as_ref(), tcp_listener.as_ref())?,
             unix_path,
             tcp_addr,
             shards,
@@ -563,7 +563,7 @@ impl RouterHandle {
 
     /// Stop the router from outside.
     pub fn shutdown(mut self) {
-        request_drain(&self.state);
+        self.state.drain.request();
         self.join();
     }
 
@@ -580,22 +580,9 @@ impl RouterHandle {
 impl Drop for RouterHandle {
     fn drop(&mut self) {
         if !self.threads.is_empty() {
-            request_drain(&self.state);
+            self.state.drain.request();
             self.join();
         }
-    }
-}
-
-/// Flip the shutdown flag and poke the listeners awake.
-fn request_drain(state: &RouterState) {
-    if state.shutdown.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    if let Some(path) = &state.unix_path {
-        let _unused = UnixStream::connect(path);
-    }
-    if let Some(addr) = state.tcp_addr {
-        let _unused = TcpStream::connect(addr);
     }
 }
 
@@ -619,7 +606,7 @@ fn accept(incoming: impl Iterator<Item = std::io::Result<Stream>>, state: &Arc<R
                         |line| route_line(line, &state),
                     );
                     if stop {
-                        request_drain(&state);
+                        state.drain.request();
                     }
                 });
         }
@@ -1107,7 +1094,7 @@ mod tests {
                 errors: AtomicU64::new(0),
                 latency: LatencyHistogram::new(),
             },
-            shutdown: AtomicBool::new(false),
+            drain: Drain::new(None, None).expect("no listener to clone"),
             unix_path: None,
             tcp_addr: None,
         }

@@ -34,10 +34,10 @@ use linguist_frontend::report::synthesize_tree;
 use linguist_frontend::translate::standard_intrinsics;
 use linguist_support::intern::NameTable;
 use linguist_support::json::Json;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use crate::pool::{PoolStats, SubmitError, WorkerPool};
 use crate::proto::{
     error_reply, error_reply_with, eval_error_kind, kind, load_error_detail, load_error_kind,
-    ok_reply, serve_frames, translate_error_kind, GrammarRef, Request, Stream, Work,
+    ok_reply, serve_frames, translate_error_kind, Drain, GrammarRef, Request, Stream, Work,
     DEFAULT_MAX_FRAME_LEN,
 };
 use crate::stats::ServiceMetrics;
@@ -114,7 +114,7 @@ pub struct ServiceState {
     default_deadline: Option<Duration>,
     max_frame_len: usize,
     idle_timeout: Option<Duration>,
-    shutdown: AtomicBool,
+    drain: Drain,
     unix_path: Option<PathBuf>,
     tcp_addr: Option<SocketAddr>,
 }
@@ -128,14 +128,14 @@ impl ServiceState {
 
     /// Has a shutdown been requested?
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.drain.requested()
     }
 
     /// Begin a graceful drain from outside the protocol — the SIGTERM
     /// path. Stops the acceptors exactly like a `shutdown` request;
     /// in-flight jobs still finish and `ServerHandle::wait` returns.
     pub fn begin_drain(&self) {
-        request_shutdown(self);
+        self.drain.request();
     }
 
     /// The execution engine (run counters for tests and stats).
@@ -194,7 +194,7 @@ impl Server {
             default_deadline: cfg.default_deadline,
             max_frame_len: cfg.max_frame_len,
             idle_timeout: cfg.idle_timeout,
-            shutdown: AtomicBool::new(false),
+            drain: Drain::new(unix_listener.as_ref(), tcp_listener.as_ref())?,
             unix_path: cfg.unix_path,
             tcp_addr,
         });
@@ -258,7 +258,7 @@ impl ServerHandle {
     /// Stop the daemon from outside: unblock the acceptors, drain, and
     /// clean up.
     pub fn shutdown(mut self) -> PoolStats {
-        request_shutdown(&self.state);
+        self.state.drain.request();
         self.join_and_drain()
     }
 
@@ -278,23 +278,9 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         if !self.acceptors.is_empty() {
-            request_shutdown(&self.state);
+            self.state.drain.request();
             let _stats = self.join_and_drain();
         }
-    }
-}
-
-/// Flip the shutdown flag and poke every listener awake so its
-/// blocking `accept` returns and the acceptor can observe the flag.
-fn request_shutdown(state: &ServiceState) {
-    if state.shutdown.swap(true, Ordering::SeqCst) {
-        return; // already requested
-    }
-    if let Some(path) = &state.unix_path {
-        let _unused = UnixStream::connect(path);
-    }
-    if let Some(addr) = state.tcp_addr {
-        let _unused = TcpStream::connect(addr);
     }
 }
 
@@ -316,7 +302,7 @@ fn accept(incoming: impl Iterator<Item = std::io::Result<Stream>>, state: &Arc<S
                         |line| dispatch_line(line, &state),
                     );
                     if stop {
-                        request_shutdown(&state);
+                        state.drain.request();
                     }
                 });
         }

@@ -495,15 +495,13 @@ fn codegen_subcommand_emits_the_pinned_meta_evaluator() {
         // so the emitted crate builds with a plain `cargo build`.
         let manifest_out = std::fs::read_to_string(out_dir.join("Cargo.toml")).expect("manifest");
         assert!(manifest_out.contains("[workspace]"), "{}", manifest_out);
-        // With the optimizer on, the change-impact closures ride along
-        // as a sidecar; the ablation must not emit one.
-        let impact = out_dir.join("impact.json");
-        if args.contains(&"--opt=off") {
-            assert!(!impact.exists(), "--opt=off must not write impact.json");
-        } else {
-            let text = std::fs::read_to_string(&impact).expect("impact.json sidecar");
-            assert!(text.contains("\"production\""), "{}", text);
-        }
+        // The crate is the whole output: no sidecar under either
+        // optimizer setting.
+        assert!(
+            !out_dir.join("impact.json").exists(),
+            "codegen {:?} must not write impact.json",
+            args
+        );
         let _unused = std::fs::remove_dir_all(&out_dir);
     }
 }
@@ -520,4 +518,55 @@ fn codegen_subcommand_rejects_unanalyzable_grammars_nonzero() {
         !out.stderr.is_empty(),
         "failure must be explained on stderr"
     );
+}
+
+/// `check` and `codegen` take the same analysis flags as the compiling
+/// entry point, and still reject what they do not know.
+#[test]
+fn check_and_codegen_share_the_analysis_flags() {
+    let good = write_tmp("flags-good.lg", GOOD);
+    let flags = [
+        "--first-pass",
+        "lr",
+        "--opt=off",
+        "--no-subsumption",
+        "--coalesce",
+    ];
+    let out = linguist()
+        .arg("check")
+        .args(flags)
+        .arg(&good)
+        .output()
+        .expect("run");
+    assert!(
+        out.status.success(),
+        "check {:?}: {}",
+        flags,
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let out_dir =
+        std::env::temp_dir().join(format!("linguist-cli-codegen-flags-{}", std::process::id()));
+    let out = linguist()
+        .arg("codegen")
+        .args(flags)
+        .arg(&good)
+        .arg("--out")
+        .arg(&out_dir)
+        .output()
+        .expect("run");
+    assert!(
+        out.status.success(),
+        "codegen {:?}: {}",
+        flags,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _unused = std::fs::remove_dir_all(&out_dir);
+    for sub in ["check", "codegen"] {
+        let out = linguist()
+            .args([sub, "--no-such-flag"])
+            .arg(&good)
+            .output()
+            .expect("run");
+        assert_eq!(out.status.code(), Some(2), "{} with an unknown flag", sub);
+    }
 }

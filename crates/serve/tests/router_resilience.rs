@@ -15,6 +15,8 @@
 //!   error (not a hang, not a transport error), and service resumes
 //!   when a shard returns;
 //! * a draining router refuses new work with `shutting_down`;
+//! * a daemon and a router whose socket files were removed still drain
+//!   and exit;
 //! * chaos-proxy faults (freeze, garbled replies) trip failover
 //!   instead of corrupting results.
 
@@ -315,4 +317,37 @@ fn frozen_and_garbled_shards_fail_over_without_corrupting_replies() {
     router.shutdown();
     s1.shutdown();
     s2.shutdown();
+}
+
+#[test]
+fn drain_wakes_acceptors_whose_socket_file_was_removed() {
+    let shard_path = sock_path("unlinked-shard");
+    let shard = start_shard(&shard_path);
+    let router = start_router(vec![ShardAddr::Unix(shard_path.clone())]);
+    std::fs::remove_file(&shard_path).expect("remove shard socket");
+    std::fs::remove_file(router.unix_path().expect("unix bound")).expect("remove router socket");
+    router.state().begin_drain();
+    shard.state().begin_drain();
+    // Wait on other threads, so a regression fails here instead of
+    // hanging the test binary.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let tx2 = tx.clone();
+    let waiters = [
+        std::thread::spawn(move || {
+            router.wait();
+            let _unused = tx.send("router");
+        }),
+        std::thread::spawn(move || {
+            shard.wait();
+            let _unused = tx2.send("daemon");
+        }),
+    ];
+    let deadline = Instant::now() + Duration::from_secs(5);
+    for _ in 0..2 {
+        rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            .expect("a drained daemon or router never returned from wait()");
+    }
+    for waiter in waiters {
+        waiter.join().expect("waiter thread panicked");
+    }
 }

@@ -393,6 +393,35 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The pipeline tests circularity once, before the optimizer. That
+    /// is sound because the optimizer only removes dependency edges:
+    /// whenever the sufficient test accepts a grammar, it still accepts
+    /// the optimized one.
+    #[test]
+    fn optimizer_keeps_noncircular_grammars_noncircular(params in shape_strategy()) {
+        use linguist_ag::check::check_completeness;
+        use linguist_ag::circularity::check_noncircular;
+        use linguist_ag::dataflow::optimize;
+        use linguist_ag::implicit::insert_implicit_copies;
+
+        let sg = realize(&params);
+        let mut g = sg.grammar.clone();
+        insert_implicit_copies(&mut g);
+        // The optimizer's precondition: complete and non-circular.
+        if check_completeness(&g).is_err() || check_noncircular(&g).is_err() {
+            return;
+        }
+        optimize(&mut g);
+        prop_assert!(
+            check_noncircular(&g).is_ok(),
+            "{}: the optimizer made a non-circular grammar circular", sg.name
+        );
+    }
+}
+
 /// Every fixture under `tests/corpus/` — seed regressions plus anything
 /// the fuzzer ever persisted — replays through the full four-way oracle.
 #[test]

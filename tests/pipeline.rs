@@ -2,16 +2,17 @@
 //! binary-number grammar, driver error propagation, and intrinsic
 //! attribute conventions.
 
-use linguist86::ag::analysis::Config;
+use linguist86::ag::analysis::{Analysis, AnalysisError, Config};
+use linguist86::ag::lint::{codes, LintConfig};
 use linguist86::ag::passes::{Direction, PassConfig};
 use linguist86::eval::funcs::Funcs;
 use linguist86::eval::machine::{Backing, EvalOptions, Strategy};
 use linguist86::eval::value::Value;
 use linguist86::frontend::driver::{analyze, run, DriverError, DriverOptions};
-use linguist86::frontend::Translator;
+use linguist86::frontend::{check_source, lower, parse, Translator};
 use linguist86::grammars::{
-    block_source, knuth_scanner, knuth_source, meta_source, pascal_program, pascal_scanner,
-    pascal_source,
+    block_source, calc_source, knuth_scanner, knuth_source, meta_source, pascal_program,
+    pascal_scanner, pascal_source,
 };
 use linguist86::lexgen::ScannerDef;
 use std::time::{Duration, Instant};
@@ -220,6 +221,85 @@ end
         }
         other => panic!("expected completeness failure, got {:?}", other.map(|_| ())),
     }
+}
+
+/// The driver and the library pipeline are two doors into one
+/// analysis: on every bundled grammar, with and without the optimizer,
+/// they must decide the same passes, lifetimes, subsumption and plans.
+#[test]
+fn driver_and_library_pipeline_agree_on_the_bundled_grammars() {
+    for (name, src) in [
+        ("calc", calc_source()),
+        ("block", block_source()),
+        ("knuth", knuth_source()),
+        ("pascal", pascal_source()),
+        ("meta", meta_source()),
+    ] {
+        for optimize in [false, true] {
+            let cfg = Config {
+                optimize,
+                ..Config::default()
+            };
+            let via_driver = analyze(src, &cfg).unwrap();
+            let grammar = lower(&parse(src).unwrap()).unwrap();
+            let direct = Analysis::run(grammar, &cfg).unwrap();
+            let case = format!("{} (optimize = {})", name, optimize);
+            assert_eq!(
+                format!("{:?}", via_driver.passes),
+                format!("{:?}", direct.passes),
+                "{}: passes",
+                case
+            );
+            assert_eq!(
+                format!("{:?}", via_driver.lifetimes),
+                format!("{:?}", direct.lifetimes),
+                "{}: lifetimes",
+                case
+            );
+            assert_eq!(
+                via_driver.subsumption.stats(&via_driver.grammar),
+                direct.subsumption.stats(&direct.grammar),
+                "{}: subsumption",
+                case
+            );
+            assert_eq!(
+                format!("{:?}", via_driver.plans),
+                format!("{:?}", direct.plans),
+                "{}: plans",
+                case
+            );
+        }
+    }
+}
+
+/// A grammar that is both incomplete and circular: the driver stops at
+/// the first failing stage (completeness), while `check` reports both.
+#[test]
+fn incomplete_and_circular_grammar_fails_driver_at_completeness_and_check_reports_both() {
+    let src = r#"
+grammar Both ;
+nonterminals
+  s : syn A int, syn B int, syn U int ;
+start s ;
+productions
+prod s = :
+  s.A = s.B ;
+  s.B = s.A ;
+end
+end
+"#;
+    match analyze(src, &Config::default()) {
+        Err(DriverError::Analysis(AnalysisError::Check(_))) => {}
+        other => panic!(
+            "expected a completeness failure, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+    let report = check_source(src, &Config::default(), &LintConfig::default());
+    let seen: Vec<&str> = report.findings.iter().map(|f| f.code).collect();
+    assert!(seen.contains(&codes::INCOMPLETE), "{:?}", seen);
+    assert!(seen.contains(&codes::CIRCULARITY), "{:?}", seen);
+    assert_eq!(report.passes, None);
 }
 
 #[test]
